@@ -4,7 +4,6 @@ both closed (unitary) and open (Lindblad) settings."""
 
 from .model import (
     SystemParams,
-    SpectralPoint,
     delta_m,
     eigen_energy,
     optimal_detuning,
@@ -16,7 +15,6 @@ from .operators import (
     Operator,
     PropagatorFactors,
     build_h_driven,
-    build_h_eff,
     build_h_gom,
     build_h_rotating,
     build_mode_operators,

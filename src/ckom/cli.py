@@ -58,7 +58,6 @@ BLOCKADE_DEFAULTS = {
     "detuning_min": -4.0,
     "detuning_max": 2.0,
     "detuning_step": 0.005,
-    "steady_method": "ladder",
     "g0_min": 0.05,
     "g0_max": 1.3,
     "g0_steps": 126,
@@ -93,7 +92,6 @@ CAT_DEFAULTS = {
     "x_max": 7.0,
     "n_x": 551,
     "theta": "auto",
-    "steady_method": "ladder",
 }
 
 PHASESPACE_DEFAULTS = {**CAT_DEFAULTS, "omega_c": 1000.0}
@@ -166,19 +164,26 @@ def _pool_map(worker, tasks, jobs):
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
-def _g2_numeric_task(task):
-    """Steady-state g2 at one detuning; NaN-and-continue on failure."""
-    params, n_cav, n_mech, method = task
+def _failure(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _steady_g2(params, n_cav, n_mech, method):
+    """(g2, error) of the driven steady state at one parameter point;
+    NaN-and-continue on failure."""
     try:
-        spec = HilbertSpec(n_cav=n_cav, n_mech=n_mech)
-        ls = make_lindblad(params, spec, frame="rotating")
-        rho = steady_state(ls, method=method)
-        return observables(rho)["g2"], ""
+        ls = make_lindblad(params, HilbertSpec(n_cav=n_cav, n_mech=n_mech), frame="rotating")
+        return observables(steady_state(ls, method=method))["g2"], ""
     except _NUMERICAL_ERRORS as exc:
-        return np.nan, f"{type(exc).__name__}: {exc}"
+        return np.nan, _failure(exc)
 
 
-def g2_numeric_sweep(params, n_cav, n_mech, detunings, method="cycle", jobs=1):
+def _g2_numeric_task(task):
+    """Steady-state g2 at one detuning; task = (params, n_cav, n_mech, method)."""
+    return _steady_g2(*task)
+
+
+def g2_numeric_sweep(params, n_cav, n_mech, detunings, method="ladder", jobs=1):
     """Master-equation g2(delta_c) over a detuning grid (parallel over points)."""
     tasks = [
         (params.replace(delta_c=float(dc)), n_cav, n_mech, method) for dc in detunings
@@ -193,7 +198,7 @@ def g2_analytic_sweep(params, spec, detunings):
             stats = blockade.photon_stats_exact(params.replace(delta_c=float(dc)), spec)
             out.append((stats, ""))
         except _NUMERICAL_ERRORS as exc:
-            out.append((None, f"{type(exc).__name__}: {exc}"))
+            out.append((None, _failure(exc)))
     return out
 
 
@@ -243,10 +248,7 @@ def cmd_table1(args):
 
     run_numeric = not args.analytic
     if run_numeric:
-        numeric = g2_numeric_sweep(
-            params, spec.n_cav, spec.n_mech, detunings,
-            method=config["steady_method"], jobs=args.jobs,
-        )
+        numeric = g2_numeric_sweep(params, spec.n_cav, spec.n_mech, detunings, jobs=args.jobs)
         g2_n = np.array([val for val, _err in numeric])
         dips_n = local_extrema(detunings, g2_n, "min")
         peaks_n = local_extrema(detunings, g2_n, "max")
@@ -279,10 +281,7 @@ def cmd_blockade_sweep(args):
     analytic = g2_analytic_sweep(params, spec, detunings)
     numeric = None
     if args.numeric:
-        numeric = g2_numeric_sweep(
-            params, spec.n_cav, spec.n_mech, detunings,
-            method=config["steady_method"], jobs=args.jobs,
-        )
+        numeric = g2_numeric_sweep(params, spec.n_cav, spec.n_mech, detunings, jobs=args.jobs)
 
     rows = []
     for i, dc in enumerate(detunings):
@@ -292,7 +291,7 @@ def cmd_blockade_sweep(args):
             g2_ld = blockade.photon_stats_lamb_dicke(point).g2
         except _NUMERICAL_ERRORS as exc:
             g2_ld = np.nan
-            err = err or f"{type(exc).__name__}: {exc}"
+            err = err or _failure(exc)
         if stats is None:
             row = [dc, np.nan, np.nan, np.nan, np.nan, g2_ld]
         else:
@@ -314,17 +313,17 @@ def cmd_blockade_sweep(args):
 
 
 def _map_task(task):
-    params, n_cav, n_mech, numeric, method = task
+    """g2 at the single-photon resonance of one (g0, g_ck) point;
+    task = (params, n_cav, n_mech, numeric)."""
+    params, n_cav, n_mech, numeric = task
     try:
         params = params.replace(delta_c=delta_m(1, params))
-        if numeric:
+        if not numeric:
             spec = HilbertSpec(n_cav=n_cav, n_mech=n_mech)
-            ls = make_lindblad(params, spec, frame="rotating")
-            return observables(steady_state(ls, method=method))["g2"], ""
-        spec = HilbertSpec(n_cav=n_cav, n_mech=n_mech)
-        return blockade.photon_stats_exact(params, spec).g2, ""
+            return blockade.photon_stats_exact(params, spec).g2, ""
     except _NUMERICAL_ERRORS as exc:
-        return np.nan, f"{type(exc).__name__}: {exc}"
+        return np.nan, _failure(exc)
+    return _steady_g2(params, n_cav, n_mech, "ladder")
 
 
 def cmd_blockade_map(args):
@@ -336,7 +335,7 @@ def cmd_blockade_map(args):
 
     tasks = [
         (params.replace(g0=float(g0), g_ck=float(gck)), spec.n_cav, spec.n_mech,
-         bool(args.numeric), config["steady_method"])
+         bool(args.numeric))
         for g0 in g0_axis
         for gck in gck_axis
     ]
@@ -579,8 +578,6 @@ def _add_common(parser):
         parser.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
     parser.add_argument("--n-cav", type=int, dest="n_cav")
     parser.add_argument("--n-mech", type=int, dest="n_mech")
-    parser.add_argument("--steady-method", dest="steady_method",
-                        choices=["evolve", "direct", "cycle", "ladder"])
 
 
 def _build_parser():
@@ -660,7 +657,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
-        print(f"ckom: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"ckom: numerical failure: {_failure(exc)}", file=sys.stderr)
         return 2
 
 

@@ -26,10 +26,18 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian plus decay channels as (jump operator, rate) pairs."""
+    """Hamiltonian plus decay channels as (jump operator, rate) pairs.
+
+    The rates of the standard channels are also kept by name: ``kappa`` on
+    a, ``gamma_down`` = gamma_m (nbar+1) on b and ``gamma_up`` = gamma_m nbar
+    on b+.
+    """
 
     hamiltonian: Operator
     channels: tuple
+    kappa: float
+    gamma_down: float
+    gamma_up: float
 
     @property
     def spec(self):
@@ -47,12 +55,11 @@ def make_lindblad(params, spec, frame="rotating"):
         h = build_h_gom(spec, params)
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    channels = (
-        (ops.a, params.kappa),
-        (ops.b, params.gamma_m * (params.nbar_m + 1.0)),
-        (ops.b_dag, params.gamma_m * params.nbar_m),
-    )
-    return LindbladSpec(hamiltonian=h, channels=channels)
+    gamma_down = params.gamma_m * (params.nbar_m + 1.0)
+    gamma_up = params.gamma_m * params.nbar_m
+    channels = ((ops.a, params.kappa), (ops.b, gamma_down), (ops.b_dag, gamma_up))
+    return LindbladSpec(hamiltonian=h, channels=channels, kappa=params.kappa,
+                        gamma_down=gamma_down, gamma_up=gamma_up)
 
 
 def vacuum_density(spec):
@@ -133,12 +140,11 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
 
 
 def _steady_by_integration(ls, t_max):
-    kappa = ls.channels[0][1]
-    if kappa <= 0:
+    if ls.kappa <= 0:
         raise ValueError("steady state by integration needs kappa > 0")
-    window = 10.0 / kappa
+    window = 10.0 / ls.kappa
     if t_max is None:
-        t_max = 200.0 / kappa
+        t_max = 200.0 / ls.kappa
     rho = vacuum_density(ls.spec)
     t = 0.0
     while t < t_max:
@@ -192,91 +198,6 @@ def _steady_direct(ls):
     return rho
 
 
-def _arnoldi_dominant(matvec, v0, n_iter=40, restarts=15, tol=1e-12):
-    """Dominant eigenvector of a linear map by restarted Arnoldi iteration.
-
-    Deterministic (fixed start vector, no randomness); used for the jump-
-    propagation fixed point whose dominant eigenvalue is 1.
-    """
-    v = v0 / np.linalg.norm(v0)
-    for _ in range(restarts):
-        basis = np.empty((n_iter + 1, v.size), dtype=complex)
-        hess = np.zeros((n_iter + 1, n_iter), dtype=complex)
-        basis[0] = v
-        used = n_iter
-        for k in range(n_iter):
-            w = matvec(basis[k])
-            # classical Gram-Schmidt with one refinement pass, vectorized
-            span = basis[: k + 1]
-            coeff = span.conj() @ w
-            w = w - coeff @ span
-            corr = span.conj() @ w
-            w = w - corr @ span
-            hess[: k + 1, k] = coeff + corr
-            hn = np.linalg.norm(w)
-            hess[k + 1, k] = hn
-            if hn < 1e-14:
-                used = k + 1
-                break
-            basis[k + 1] = w / hn
-        evals, evecs = np.linalg.eig(hess[:used, :used])
-        lead = np.argmax(np.abs(evals))
-        v_new = evecs[:, lead] @ basis[:used]
-        v_new /= np.linalg.norm(v_new)
-        resid = np.linalg.norm(matvec(v_new) - evals[lead] * v_new)
-        v = v_new
-        if resid < tol:
-            break
-    return v
-
-
-def _steady_cycle(ls):
-    """Steady state as the fixed point of rho -> -S^{-1} K(rho), where
-    S rho = G rho + rho G+ is the non-Hermitian drift (G = -iH - sum o+o/2)
-    and K rho = sum rate o rho o+ the quantum-jump refilling.
-
-    Diagonalizing G once makes S^{-1} an elementwise division, so each map
-    application costs a few dense mat-muls; the dominant eigenvector (the
-    steady state, eigenvalue exactly 1) comes out of a deterministic Arnoldi
-    iteration. Falls back to the direct solve when the drift eigenbasis is
-    too ill-conditioned to reach the residual target.
-    """
-    d = ls.spec.dim
-    chans = [(o, rate) for o, rate in ls.channels if rate > 0.0]
-    g = -1j * ls.hamiltonian.matrix.astype(complex)
-    for o, rate in chans:
-        g -= 0.5 * rate * (o.conj().T @ o)
-    lam, vmat = sla.eig(g)
-    vinv = sla.inv(vmat)
-    denom = lam[:, None] + lam[None, :].conj()
-    if np.abs(denom).min() == 0.0:
-        return None
-    jumps = [np.sqrt(rate) * (vinv @ o @ vmat) for o, rate in chans]
-    jumps_dag = [p.conj().T for p in jumps]
-
-    def matvec(vec):
-        r = vec.reshape(d, d)
-        q = np.zeros_like(r)
-        for p, pdag in zip(jumps, jumps_dag):
-            q -= p @ r @ pdag
-        return (q / denom).ravel()
-
-    # start near the weak-drive steady state: mostly vacuum, a little identity
-    seed = 0.3 * np.eye(d, dtype=complex) / d
-    seed[0, 0] += 0.7
-    v0 = (vinv @ seed @ vinv.conj().T).ravel()
-    v = _arnoldi_dominant(matvec, v0)
-    rho = vmat @ v.reshape(d, d) @ vmat.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-300:
-        return None
-    rho = rho / tr
-    if rho[0, 0].real < 0:
-        rho = -rho
-    return DensityMatrix(ls.spec, rho)
-
-
 def _steady_ladder(ls, max_sweeps=200):
     """Steady state solved block-by-block in the photon indices.
 
@@ -292,15 +213,13 @@ def _steady_ladder(ls, max_sweeps=200):
 
     Needs mechanical damping (the vacuum-block dissipator must have a unique
     fixed point) and a drive weaker than the cavity linewidth (contraction of
-    the hierarchy); steady_state() falls back to the generic solvers
-    otherwise.
+    the hierarchy); returns None otherwise, and when the Gauss-Seidel
+    sweeps have not settled within ``max_sweeps``.
     """
     spec = ls.spec
     nc, nm = spec.n_cav, spec.n_mech
     h = ls.hamiltonian.matrix
-    kappa = ls.channels[0][1]
-    g_dn = ls.channels[1][1]
-    g_up = ls.channels[2][1]
+    kappa, g_dn, g_up = ls.kappa, ls.gamma_down, ls.gamma_up
     if g_dn <= 0.0:
         return None
     b = np.diag(np.sqrt(np.arange(1.0, nm)), 1).astype(complex)
@@ -377,36 +296,44 @@ def _steady_ladder(ls, max_sweeps=200):
                 rho[mp][m] = new.conj().T
         if delta <= 1e-15 * max(scale, 1.0):
             break
+    else:
+        return None  # the hierarchy iteration has not settled
     full = np.block(rho)
     full = 0.5 * (full + full.conj().T)
     return DensityMatrix(spec, full / np.trace(full).real)
 
 
 def steady_state(ls, method="evolve", t_max=None):
-    """Steady state of the master equation.
+    """Steady state of the master equation, by one of three methods.
 
-    ``method="evolve"`` (default) integrates from the vacuum until the
-    residual settles; ``"direct"`` solves the vectorized Liouvillian null
-    space with a trace constraint; ``"cycle"`` uses the drift/jump splitting
-    fixed point; ``"ladder"`` solves the photon-block hierarchy at per-block
-    precision (the method of choice for weak-drive sweeps, where the
-    high-photon populations sit far below the roundoff floor of any global
-    solve). ``cycle`` and ``ladder`` validate their residual and fall back to
-    ``"direct"`` automatically.
+    ``"ladder"`` solves the photon-block hierarchy at per-block precision.
+    It is the method for weak-drive sweeps, where the high-photon
+    populations sit far below the roundoff floor of any global solve. When
+    its preconditions fail (no mechanical damping, a drive too strong for
+    the hierarchy to contract), its iteration does not settle or its
+    residual exceeds 1e-9, it falls back to ``"direct"``. Without drive
+    and thermal phonons the vacuum is dark and is returned as the exact
+    fixed point.
+
+    ``"direct"`` solves the vectorized Liouvillian null space with a trace
+    constraint: the general solver for any regime with a unique steady state.
+
+    ``"evolve"`` (default) integrates from the vacuum until the residual
+    settles. It is slow and serves as the independent oracle for the other
+    two.
     """
-    if ls.channels[0][1] <= 0:
+    if ls.kappa <= 0:
         raise ValueError("a unique driven steady state needs kappa > 0")
-    drive_free = np.abs(ls.hamiltonian.matrix[0, 1:]).max() == 0.0
     if method == "evolve":
         return _steady_by_integration(ls, t_max)
     if method == "direct":
         return _steady_direct(ls)
-    if method in ("cycle", "ladder"):
-        if drive_free and all(
-            np.abs(o @ vacuum_density(ls.spec).rho).max() == 0.0 for o, r in ls.channels if r > 0
-        ):
+    if method == "ladder":
+        # a and b annihilate the vacuum; only the drive and b+ lift it
+        drive_free = np.abs(ls.hamiltonian.matrix[0, 1:]).max() == 0.0
+        if drive_free and ls.gamma_up == 0.0:
             return vacuum_density(ls.spec)  # vacuum is dark: exact fixed point
-        rho = _steady_ladder(ls) if method == "ladder" else _steady_cycle(ls)
+        rho = _steady_ladder(ls)
         if rho is not None and np.abs(apply_liouvillian(ls, rho)).max() < 1e-9:
             return rho
         return _steady_direct(ls)

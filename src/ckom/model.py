@@ -63,18 +63,6 @@ class SystemParams:
         return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One eigenstate of the undriven Hamiltonian, labelled by (m, n)."""
-
-    m: int
-    n: int
-    xi: float
-    delta: float
-    energy_lab: float
-    energy_rotating: float
-
-
 def effective_mech_freq(m, params):
     """Mechanical frequency seen by the m-photon sector, omega_m - m*g_ck."""
     w = params.omega_m - m * params.g_ck
@@ -108,17 +96,6 @@ def eigen_energy(m, n, params, frame="lab"):
     else:
         raise ValueError(f"unknown frame {frame!r}")
     return m * base + effective_mech_freq(m, params) * n - delta_m(m, params)
-
-
-def spectral_point(m, n, params):
-    return SpectralPoint(
-        m=m,
-        n=n,
-        xi=xi_m(m, params),
-        delta=delta_m(m, params),
-        energy_lab=eigen_energy(m, n, params, frame="lab"),
-        energy_rotating=eigen_energy(m, n, params, frame="rotating"),
-    )
 
 
 def optimal_detuning(kind, n, params):

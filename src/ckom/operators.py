@@ -117,13 +117,6 @@ def build_h_driven(spec, params):
     return Operator(spec, h)
 
 
-def build_h_eff(spec, params):
-    """Driven Hamiltonian with the non-Hermitian cavity-decay term -i kappa/2 a+a."""
-    ops = build_mode_operators(spec)
-    h = build_h_driven(spec, params).matrix - 0.5j * params.kappa * ops.n_a
-    return Operator(spec, h)
-
-
 def expm(op, scalar=1.0):
     """Matrix exponential of scalar * op.
 

@@ -8,8 +8,6 @@ cutoff except through their shape.
 import numpy as np
 from scipy.special import gammaln
 
-from .model import xi_m
-
 
 def log_factorial(n):
     """ln(n!) for non-negative integer n (scalar or array)."""
@@ -109,25 +107,3 @@ def safe_interior_dim(x, dim):
     s = np.sqrt(max(dim - 18.0 - 2.0 * abs(x), 1.0)) - abs(x)
     return max(int(np.floor(s * s)), 0) if s > 0 else 0
 
-
-def franck_condon(n, m, l, m_prime, params):
-    """Overlap <n-tilde(m) | l-tilde(m')> between displaced number states of
-    the m- and m'-photon sectors, i.e. <n| D(xi[m'] - xi[m]) |l>.
-    """
-    return displacement_element(n, l, xi_m(m_prime, params) - xi_m(m, params))
-
-
-def franck_condon_lamb_dicke(n, m, l, m_prime, params):
-    """First-order (Lamb-Dicke) expansion of the Franck-Condon overlap:
-    delta_{n,l} - dxi*sqrt(l+1)*delta_{n,l+1} + dxi*sqrt(l)*delta_{n,l-1}
-    with dxi = xi[m] - xi[m'].  Validity (|dxi| << 1) is the caller's business.
-    """
-    dxi = xi_m(m, params) - xi_m(m_prime, params)
-    val = 0.0
-    if n == l:
-        val += 1.0
-    if n == l + 1:
-        val -= dxi * np.sqrt(l + 1.0)
-    if l >= 1 and n == l - 1:
-        val += dxi * np.sqrt(float(l))
-    return val

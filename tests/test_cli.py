@@ -214,6 +214,12 @@ class TestConfigAndErrors:
             main(["frobnicate"])
         assert err.value.code == 1
 
+    def test_steady_method_flag_is_gone(self):
+        # every sweep uses the ladder solver; there is no solver choice
+        with pytest.raises(SystemExit) as err:
+            main(["blockade-sweep", "--steady-method", "ladder"])
+        assert err.value.code == 1
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # cat run with a cutoff far too small for the displacement
         rc = main(["cat", "--mode", "open", "--out", str(tmp_path / "c.csv"),

@@ -98,26 +98,6 @@ class TestHamiltonians:
         assert np.allclose(operators.build_h_driven(spec, p.replace(drive_amp=0.0)).matrix,
                            operators.build_h_rotating(spec, p).matrix)
 
-    def test_effective_hamiltonian_decay(self):
-        spec = HilbertSpec(4, 6)
-        p = FIG2.replace(drive_amp=0.001, delta_c=0.2)
-        h_eff = operators.build_h_eff(spec, p).matrix
-        anti = (h_eff - h_eff.conj().T) / 2.0
-        ops = operators.build_mode_operators(spec)
-        assert np.allclose(anti, -0.5j * p.kappa * ops.n_a, atol=1e-14)
-        assert np.allclose(
-            operators.build_h_eff(spec, p.replace(kappa=0.0)).matrix,
-            operators.build_h_eff(spec, p.replace(kappa=0.0)).matrix.conj().T,
-        )
-
-    def test_effective_eigenvalue_widths_without_drive(self):
-        spec = HilbertSpec(4, 12)
-        p = FIG2.replace(drive_amp=0.0, delta_c=0.3)
-        h_eff = operators.build_h_eff(spec, p).matrix
-        for m in range(4):
-            ev = sla.eigvals(h_eff[spec.block(m), spec.block(m)])
-            assert np.allclose(ev.imag, -0.5 * p.kappa * m, atol=1e-10)
-
 
 class TestExpm:
     def test_zero_matrix(self):

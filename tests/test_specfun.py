@@ -6,18 +6,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.special
 
-from ckom.model import SystemParams
 from ckom import specfun
-from ckom.errors import SingularDenominator
 
 
 def expm_displacement(x, dim):
     """Oracle: exponentiate the truncated generator x b+ - x* b directly."""
     b = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
     return sla.expm(x * b.conj().T - np.conj(x) * b)
-
-
-FIG2 = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1)
 
 
 class TestScalars:
@@ -120,60 +115,3 @@ class TestDisplacementElement:
         row_weight = np.sum(np.abs(mat[:40, :]) ** 2, axis=1)
         assert np.abs(row_weight - 1.0).max() <= 1e-8
 
-
-class TestFranckCondon:
-    def test_equal_photon_numbers_give_identity(self):
-        for n, l in [(0, 0), (2, 2), (1, 3)]:
-            val = specfun.franck_condon(n, 1, l, 1, FIG2)
-            assert np.isclose(val, 1.0 if n == l else 0.0, atol=1e-15)
-
-    def test_displaced_vacuum_overlap(self):
-        xi1 = 0.7 / 0.825
-        expected = np.exp(-0.5 * xi1**2)        # 0.69770194 via the expm oracle below
-        val = specfun.franck_condon(0, 1, 0, 0, FIG2)
-        assert np.isclose(val, expected, rtol=1e-12)
-        oracle = expm_displacement(-xi1, 60)[0, 0]
-        assert np.isclose(val, oracle, rtol=1e-10)
-
-    def test_single_phonon_sideband_sign(self):
-        xi1 = 0.7 / 0.825
-        val = specfun.franck_condon(1, 1, 0, 0, FIG2)
-        assert np.isclose(val, -xi1 * np.exp(-0.5 * xi1**2), rtol=1e-12)
-        oracle = expm_displacement(-xi1, 60)[1, 0]
-        assert np.isclose(val, oracle, rtol=1e-10)
-
-    def test_singular_guard(self):
-        bad = SystemParams(g0=0.7, g_ck=0.6)
-        with pytest.raises(SingularDenominator):
-            specfun.franck_condon(0, 2, 0, 0, bad)
-
-    def test_lamb_dicke_trivials(self):
-        assert specfun.franck_condon_lamb_dicke(2, 1, 2, 1, FIG2) == 1.0
-        xi1 = 0.7 / 0.825
-        assert np.isclose(specfun.franck_condon_lamb_dicke(1, 1, 0, 0, FIG2), -xi1, rtol=1e-14)
-
-    def test_lamb_dicke_small_coupling_error(self):
-        small = SystemParams(g0=1e-3, g_ck=2.5e-4)
-        diff = abs(
-            specfun.franck_condon(1, 1, 0, 0, small)
-            - specfun.franck_condon_lamb_dicke(1, 1, 0, 0, small)
-        )
-        assert diff < 1e-6
-
-    def test_lamb_dicke_quadratic_convergence(self):
-        # log-log slope of the worst-case deviation vs xi must be 2
-        xis = np.logspace(-4, -2, 7)
-        errs = []
-        for xi in xis:
-            p = SystemParams(g0=xi, g_ck=0.0)   # xi_m(1) = g0 exactly
-            dev = max(
-                abs(
-                    specfun.franck_condon(n, 1, l, 0, p)
-                    - specfun.franck_condon_lamb_dicke(n, 1, l, 0, p)
-                )
-                for n in range(4)
-                for l in range(4)
-            )
-            errs.append(dev)
-        slope = np.polyfit(np.log(xis), np.log(errs), 1)[0]
-        assert abs(slope - 2.0) < 0.1
