@@ -12,7 +12,6 @@ from .model import (
 )
 from .operators import (
     HilbertSpec,
-    Operator,
     PropagatorFactors,
     build_h_driven,
     build_h_gom,

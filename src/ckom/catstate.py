@@ -44,7 +44,6 @@ class ConditionalState:
     t: float
     rho_b: np.ndarray
     prob: float
-    fidelity: float | None = None
 
 
 def detection_time(params):
@@ -133,7 +132,7 @@ def closed_evolution_check(t, params, spec, tol=1e-8):
     """
     if spec.n_cav < 2:
         raise ValueError("need at least the 0- and 1-photon sectors")
-    u = propagator_factored(t, params, spec).matrix
+    u = propagator_factored(t, params, spec)
     psi0 = np.zeros(spec.dim, dtype=complex)
     psi0[spec.index(0, 0)] = 1.0 / np.sqrt(2.0)
     psi0[spec.index(1, 0)] = 1.0 / np.sqrt(2.0)

@@ -3,15 +3,19 @@
 Every command reads a flat JSON config (``--config``), applies flag
 overrides, echoes the fully resolved configuration as a comment block at the
 top of each CSV, and writes deterministic output (no randomness, no clocks).
+The commands, their defaults and their flags are one table, ``COMMANDS``.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
 failure.
 """
 
 import argparse
+import dataclasses
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,28 +24,9 @@ from .model import SystemParams, delta_m, optimal_detuning, resonance_curve_g0
 from .operators import HilbertSpec, build_h_gom, expm, propagator_factored, propagator_factors
 from .specfun import displacement_matrix, safe_interior_dim
 from .lindblad import make_lindblad, steady_state, evolve, observables
-from .errors import (
-    DegenerateBranch,
-    DegenerateCat,
-    NonConvergedSum,
-    NonConvergence,
-    SingularDenominator,
-    StepSizeUnderflow,
-    TruncationLoss,
-    ZeroPhotonNumber,
-)
+from .errors import DegenerateBranch, DegenerateCat, NumericalError
 
-_NUMERICAL_ERRORS = (
-    DegenerateBranch,
-    DegenerateCat,
-    NonConvergedSum,
-    NonConvergence,
-    SingularDenominator,
-    StepSizeUnderflow,
-    TruncationLoss,
-    ZeroPhotonNumber,
-    np.linalg.LinAlgError,
-)
+_NUMERICAL_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
 BLOCKADE_DEFAULTS = {
     "g0": 0.7,
@@ -96,17 +81,11 @@ CAT_DEFAULTS = {
 
 PHASESPACE_DEFAULTS = {**CAT_DEFAULTS, "omega_c": 1000.0}
 
-_PARAM_KEYS = (
-    "g0",
-    "g_ck",
-    "kappa",
-    "gamma_m",
-    "nbar_m",
-    "delta_c",
-    "drive_amp",
-    "omega_c",
-    "omega_m",
-)
+_PARAM_KEYS = tuple(field.name for field in dataclasses.fields(SystemParams))
+# config keys whose flags take integers; every other config flag takes a float
+_INT_KEYS = {"n_cav", "n_mech", "g0_steps", "gck_steps", "locus_n_max", "t_steps",
+             "n_re", "n_im", "n_x"}
+_DETUNING_KEYS = ("detuning_min", "detuning_max", "detuning_step")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,10 +100,7 @@ def _fmt(value):
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if np.isnan(value):
-        return "nan"
-    return f"{value:.9g}"
+    return f"{float(value):.9g}"
 
 
 def write_csv(path, config, header, rows):
@@ -148,12 +124,10 @@ def resolve_config(defaults, args):
     return config
 
 
-def params_from_config(config):
-    return SystemParams(**{k: float(config[k]) for k in _PARAM_KEYS})
-
-
-def spec_from_config(config):
-    return HilbertSpec(n_cav=int(config["n_cav"]), n_mech=int(config["n_mech"]))
+def _axis(config, name, count):
+    """Sample axis from the config keys <name>_min, <name>_max and count."""
+    return np.linspace(float(config[f"{name}_min"]), float(config[f"{name}_max"]),
+                       int(config[count]))
 
 
 def _pool_map(worker, tasks, jobs):
@@ -183,10 +157,10 @@ def _g2_numeric_task(task):
     return _steady_g2(*task)
 
 
-def g2_numeric_sweep(params, n_cav, n_mech, detunings, method="ladder", jobs=1):
+def g2_numeric_sweep(params, n_cav, n_mech, detunings, jobs=1):
     """Master-equation g2(delta_c) over a detuning grid (parallel over points)."""
     tasks = [
-        (params.replace(delta_c=float(dc)), n_cav, n_mech, method) for dc in detunings
+        (params.replace(delta_c=float(dc)), n_cav, n_mech, "ladder") for dc in detunings
     ]
     return _pool_map(_g2_numeric_task, tasks, jobs)
 
@@ -203,18 +177,13 @@ def g2_analytic_sweep(params, spec, detunings):
 
 
 def local_extrema(x, y, kind):
-    """Locations of strict local minima or maxima of a sampled curve
-    (NaN-bearing neighborhoods are skipped)."""
-    locs = []
-    for i in range(1, len(y) - 1):
-        window = y[i - 1 : i + 2]
-        if np.any(np.isnan(window)):
-            continue
-        if kind == "min" and y[i] < y[i - 1] and y[i] < y[i + 1]:
-            locs.append(x[i])
-        if kind == "max" and y[i] > y[i - 1] and y[i] > y[i + 1]:
-            locs.append(x[i])
-    return np.array(locs)
+    """Locations of strict local minima (kind "min") or maxima ("max") of a
+    sampled curve; a point next to a NaN compares false, so is never one."""
+    x, y = np.asarray(x), np.asarray(y)
+    if kind == "max":
+        y = -y
+    mid = y[1:-1]
+    return x[1:-1][(mid < y[:-2]) & (mid < y[2:])]
 
 
 def _nearest(candidates, value):
@@ -223,91 +192,76 @@ def _nearest(candidates, value):
     return float(candidates[np.argmin(np.abs(candidates - value))])
 
 
-def _detuning_grid(config):
-    lo = float(config["detuning_min"])
-    hi = float(config["detuning_max"])
-    step = float(config["detuning_step"])
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+def _detuning_sweep(args, config, params, spec, numeric):
+    """Detuning grid, the exact-sideband (stats, error) at each point and,
+    when numeric, the master-equation (g2, error) at each point (else None).
 
-
-def cmd_table1(args):
-    config = resolve_config(BLOCKADE_DEFAULTS, args)
-    params = params_from_config(config)
-    spec = spec_from_config(config)
-    single_n = list(range(6))
-    two_n = [0, 1, 2, 3, 5, 8]
-    predicted = [("single", n, optimal_detuning("single", n, params)) for n in single_n]
-    predicted += [("two-photon", n, optimal_detuning("two-photon", n, params)) for n in two_n]
-
-    detunings = _detuning_grid(config)
+    The grid must step from detuning_min to detuning_max in whole steps;
+    anything else is a usage error (exit 1), not a silently rescaled step.
+    """
+    lo, hi, step = (float(config[key]) for key in _DETUNING_KEYS)
+    steps = (hi - lo) / step
+    if abs(steps - round(steps)) > 1e-9:
+        print(f"ckom: error: detuning_step = {step:g} does not divide "
+              f"detuning_max - detuning_min = {hi:g} - {lo:g}", file=sys.stderr)
+        raise SystemExit(1)
+    detunings = np.linspace(lo, hi, int(round(steps)) + 1)
+    config["numeric"] = numeric
     analytic = g2_analytic_sweep(params, spec, detunings)
-    g2_a = np.array([s.g2 if s is not None else np.nan for s, _err in analytic])
-    dips_a = local_extrema(detunings, g2_a, "min")
-    peaks_a = local_extrema(detunings, g2_a, "max")
+    if not numeric:
+        return detunings, analytic, None
+    return detunings, analytic, g2_numeric_sweep(
+        params, spec.n_cav, spec.n_mech, detunings, jobs=args.jobs
+    )
 
-    run_numeric = not args.analytic
-    if run_numeric:
-        numeric = g2_numeric_sweep(params, spec.n_cav, spec.n_mech, detunings, jobs=args.jobs)
-        g2_n = np.array([val for val, _err in numeric])
-        dips_n = local_extrema(detunings, g2_n, "min")
-        peaks_n = local_extrema(detunings, g2_n, "max")
+
+def cmd_table1(args, config, params, spec):
+    predicted = [(kind, n, optimal_detuning(kind, n, params))
+                 for kind, ns in (("single", range(6)), ("two-photon", (0, 1, 2, 3, 5, 8)))
+                 for n in ns]
+    detunings, analytic, numeric = _detuning_sweep(args, config, params, spec,
+                                                   not args.analytic)
+    curves = [np.array([s.g2 if s is not None else np.nan for s, _err in analytic])]
+    header = ["kind", "n", "predicted", "detected_analytic", "delta_analytic"]
+    if numeric is not None:
+        curves.append(np.array([val for val, _err in numeric]))
+        header += ["detected_numeric", "delta_numeric"]
+    # single-photon resonances are g2 dips, two-photon resonances g2 peaks
+    found = [{"single": local_extrema(detunings, g2, "min"),
+              "two-photon": local_extrema(detunings, g2, "max")} for g2 in curves]
 
     rows = []
     for kind, n, pred in predicted:
-        pool_a = dips_a if kind == "single" else peaks_a
-        det_a = _nearest(pool_a, pred)
-        row = [kind, n, pred, det_a, det_a - pred]
-        if run_numeric:
-            pool_n = dips_n if kind == "single" else peaks_n
-            det_n = _nearest(pool_n, pred)
-            row += [det_n, det_n - pred]
+        row = [kind, n, pred]
+        for extrema in found:
+            det = _nearest(extrema[kind], pred)
+            row += [det, det - pred]
         rows.append(row)
-
-    header = ["kind", "n", "predicted", "detected_analytic", "delta_analytic"]
-    if run_numeric:
-        header += ["detected_numeric", "delta_numeric"]
-    config["numeric"] = run_numeric
     write_csv(args.out, config, header, rows)
     return 0
 
 
-def cmd_blockade_sweep(args):
-    config = resolve_config(BLOCKADE_DEFAULTS, args)
-    params = params_from_config(config)
-    spec = spec_from_config(config)
-    detunings = _detuning_grid(config)
-
-    analytic = g2_analytic_sweep(params, spec, detunings)
-    numeric = None
-    if args.numeric:
-        numeric = g2_numeric_sweep(params, spec.n_cav, spec.n_mech, detunings, jobs=args.jobs)
-
+def cmd_blockade_sweep(args, config, params, spec):
+    detunings, analytic, numeric = _detuning_sweep(args, config, params, spec,
+                                                   bool(args.numeric))
     rows = []
     for i, dc in enumerate(detunings):
         stats, err = analytic[i]
-        point = params.replace(delta_c=float(dc))
         try:
-            g2_ld = blockade.photon_stats_lamb_dicke(point).g2
+            g2_ld = blockade.photon_stats_lamb_dicke(params.replace(delta_c=float(dc))).g2
         except _NUMERICAL_ERRORS as exc:
             g2_ld = np.nan
             err = err or _failure(exc)
-        if stats is None:
-            row = [dc, np.nan, np.nan, np.nan, np.nan, g2_ld]
-        else:
-            row = [dc, stats.p0, stats.p1, stats.p2, stats.g2, g2_ld]
+        probs = [np.nan] * 4 if stats is None else [stats.p0, stats.p1, stats.p2, stats.g2]
+        row = [dc, *probs, g2_ld]
         if numeric is not None:
             g2_n, err_n = numeric[i]
             row.append(g2_n)
             err = err or err_n
-        row.append(err)
-        rows.append(row)
+        rows.append(row + [err])
 
     header = ["delta_c", "p0", "p1", "p2", "g2_analytic", "g2_lamb_dicke"]
-    if numeric is not None:
-        header.append("g2_numeric")
-    header.append("error")
-    config["numeric"] = bool(args.numeric)
+    header += ["error"] if numeric is None else ["g2_numeric", "error"]
     write_csv(args.out, config, header, rows)
     return 0
 
@@ -326,29 +280,18 @@ def _map_task(task):
     return _steady_g2(params, n_cav, n_mech, "ladder")
 
 
-def cmd_blockade_map(args):
-    config = resolve_config(BLOCKADE_DEFAULTS, args)
-    params = params_from_config(config)
-    spec = spec_from_config(config)
-    g0_axis = np.linspace(float(config["g0_min"]), float(config["g0_max"]), int(config["g0_steps"]))
-    gck_axis = np.linspace(float(config["gck_min"]), float(config["gck_max"]), int(config["gck_steps"]))
-
+def cmd_blockade_map(args, config, params, spec):
+    gck_axis = _axis(config, "gck", "gck_steps")
+    points = [(g0, gck) for g0 in _axis(config, "g0", "g0_steps") for gck in gck_axis]
     tasks = [
         (params.replace(g0=float(g0), g_ck=float(gck)), spec.n_cav, spec.n_mech,
          bool(args.numeric))
-        for g0 in g0_axis
-        for gck in gck_axis
+        for g0, gck in points
     ]
     results = _pool_map(_map_task, tasks, args.jobs)
-    rows = []
-    k = 0
-    for g0 in g0_axis:
-        for gck in gck_axis:
-            g2, err = results[k]
-            rows.append([g0, gck, g2, err])
-            k += 1
     config["numeric"] = bool(args.numeric)
-    write_csv(args.out, config, ["g0", "g_ck", "g2", "error"], rows)
+    write_csv(args.out, config, ["g0", "g_ck", "g2", "error"],
+              [[*point, *result] for point, result in zip(points, results)])
 
     locus_rows = []
     for n in range(1, int(config["locus_n_max"]) + 1):
@@ -365,55 +308,39 @@ def _derived_path(path, tag):
     return f"{path}.{tag}.csv" if not path.endswith(".csv") else f"{path[:-4]}.{tag}.csv"
 
 
-def _time_grid(config, params):
-    t_max = config.get("t_max")
-    if t_max is None:
-        t_max = 2.0 * catstate.detection_time(params)
-    return np.linspace(0.0, float(t_max), int(config["t_steps"]))
+def _snapshot_time(config, params):
+    """The config's snapshot "time", by default the detection time t_s."""
+    t = config["time"]
+    return catstate.detection_time(params) if t is None else float(t)
 
 
-def _dissipation_settings(config):
-    def as_list(key):
-        val = config.get(f"{key}_list", config[key])
-        return [float(v) for v in np.atleast_1d(val)]
-
-    settings = []
-    for kap in as_list("kappa"):
-        for gam in as_list("gamma_m"):
-            for nbar in as_list("nbar_m"):
-                settings.append((kap, gam, nbar))
-    return settings
-
-
-def cmd_cat(args):
-    config = resolve_config(CAT_DEFAULTS, args)
-    params = params_from_config(config)
-    spec = spec_from_config(config)
-    t_grid = _time_grid(config, params)
-    t_snap = config["time"]
-    t_snap = catstate.detection_time(params) if t_snap is None else float(t_snap)
+def cmd_cat(args, config, params, spec):
+    t_max = config["t_max"]
+    t_max = 2.0 * catstate.detection_time(params) if t_max is None else float(t_max)
+    t_grid = np.linspace(0.0, t_max, int(config["t_steps"]))
+    t_snap = _snapshot_time(config, params)
+    snap_path = _derived_path(args.out, "snapshot")
 
     if args.mode == "closed":
-        rows = []
-        for t in t_grid:
+        def closed_row(t):
             snap = catstate.cat_snapshot(t, params)
-            rows.append([t, abs(snap.beta), snap.theta, snap.prob_plus, snap.prob_minus])
-        write_csv(args.out, config,
-                  ["t", "abs_beta", "theta", "p_plus", "p_minus"], rows)
-        snap = catstate.cat_snapshot(t_snap, params)
-        write_csv(_derived_path(args.out, "snapshot"), config,
-                  ["t", "abs_beta", "theta", "p_plus", "p_minus"],
-                  [[t_snap, abs(snap.beta), snap.theta, snap.prob_plus, snap.prob_minus]])
+            return [t, abs(snap.beta), snap.theta, snap.prob_plus, snap.prob_minus]
+
+        header = ["t", "abs_beta", "theta", "p_plus", "p_minus"]
+        write_csv(args.out, config, header, [closed_row(t) for t in t_grid])
+        write_csv(snap_path, config, header, [closed_row(t_snap)])
         return 0
 
+    rho0 = catstate.initial_superposition_density(spec)
+    eval_times = np.unique(np.concatenate([t_grid, [t_snap]]))
+    # a <rate>_list config key sweeps that rate
+    rates = [[float(v) for v in np.atleast_1d(config.get(f"{key}_list", config[key]))]
+             for key in ("kappa", "gamma_m", "nbar_m")]
     rows = []
     snap_rows = []
-    for kap, gam, nbar in _dissipation_settings(config):
+    for kap, gam, nbar in itertools.product(*rates):
         point = params.replace(kappa=kap, gamma_m=gam, nbar_m=nbar)
-        ls = make_lindblad(point, spec, frame="lab")
-        rho0 = catstate.initial_superposition_density(spec)
-        eval_times = np.unique(np.concatenate([t_grid, [t_snap]]))
-        states = evolve(ls, rho0, eval_times)
+        states = evolve(make_lindblad(point, spec, frame="lab"), rho0, eval_times)
         for t, dm in zip(eval_times, states):
             p_plus, p_minus = catstate.branch_probabilities(dm)
             fids = {"plus": np.nan, "minus": np.nan}
@@ -429,68 +356,54 @@ def cmd_cat(args):
                 snap_rows.append(row)
     header = ["kappa", "gamma_m", "nbar_m", "t", "p_plus", "p_minus", "f_plus", "f_minus"]
     write_csv(args.out, config, header, rows)
-    write_csv(_derived_path(args.out, "snapshot"), config, header, snap_rows)
+    write_csv(snap_path, config, header, snap_rows)
     return 0
 
 
-def _conditioned_state(params, spec, t, branch):
+def _snapshot(args, config, params, spec):
+    """Snapshot time (default t_s), echoed with the branch and --numeric,
+    and with --numeric the open-system state conditioned on the branch at
+    that time (else None)."""
+    t = _snapshot_time(config, params)
+    config.update(time=t, branch=args.branch, numeric=bool(args.numeric))
+    if not args.numeric:
+        return t, None
     ls = make_lindblad(params, spec, frame="lab")
-    rho0 = catstate.initial_superposition_density(spec)
-    dm = evolve(ls, rho0, np.array([0.0, t]))[-1]
-    for cond in catstate.condition_open_system(dm, t):
-        if cond.sign == branch:
-            return cond
-    raise DegenerateBranch(branch)
+    dm = evolve(ls, catstate.initial_superposition_density(spec), np.array([0.0, t]))[-1]
+    plus, minus = catstate.condition_open_system(dm, t)
+    return t, plus if args.branch == "plus" else minus
 
 
-def cmd_wigner(args):
-    config = resolve_config(PHASESPACE_DEFAULTS, args)
-    params = params_from_config(config)
-    spec = spec_from_config(config)
-    t = config["time"]
-    t = catstate.detection_time(params) if t is None else float(t)
-    re_axis = np.linspace(float(config["re_min"]), float(config["re_max"]), int(config["n_re"]))
-    im_axis = np.linspace(float(config["im_min"]), float(config["im_max"]), int(config["n_im"]))
-
-    if args.numeric:
-        cond = _conditioned_state(params, spec, t, args.branch)
-        grid = quasiprob.wigner_numeric(cond.rho_b, re_axis, im_axis)
-    else:
+def cmd_wigner(args, config, params, spec):
+    t, cond = _snapshot(args, config, params, spec)
+    re_axis = _axis(config, "re", "n_re")
+    im_axis = _axis(config, "im", "n_im")
+    if cond is None:
         grid = quasiprob.wigner_cat_analytic(t, args.branch, params, re_axis, im_axis)
+    else:
+        grid = quasiprob.wigner_numeric(cond.rho_b, re_axis, im_axis)
 
     rows = [
-        [re_axis[i], im_axis[j], grid.values[i, j]]
-        for i in range(re_axis.size)
-        for j in range(im_axis.size)
+        [re, im, w]
+        for re, line in zip(re_axis, grid.values)
+        for im, w in zip(im_axis, line)
     ]
-    config.update(time=t, branch=args.branch, numeric=bool(args.numeric))
     write_csv(args.out, config, ["re_eta", "im_eta", "w"], rows)
     return 0
 
 
-def cmd_quadrature(args):
-    config = resolve_config(PHASESPACE_DEFAULTS, args)
-    params = params_from_config(config)
-    spec = spec_from_config(config)
-    t = config["time"]
-    t = catstate.detection_time(params) if t is None else float(t)
-    x_axis = np.linspace(float(config["x_min"]), float(config["x_max"]), int(config["n_x"]))
-    theta = config["theta"]
-    if theta == "auto":
-        beta, _ = catstate.beta_theta(t, params)
-        theta = float(np.angle(beta) - np.pi / 2.0)
-    else:
-        theta = float(theta)
-
-    if args.numeric:
-        cond = _conditioned_state(params, spec, t, args.branch)
-        grid = quasiprob.quadrature_dist_numeric(cond.rho_b, theta, x_axis)
-    else:
+def cmd_quadrature(args, config, params, spec):
+    t, cond = _snapshot(args, config, params, spec)
+    x_axis = _axis(config, "x", "n_x")
+    if config["theta"] == "auto":  # perpendicular to the cat's displacement beta(t)
+        config["theta"] = np.angle(catstate.beta_theta(t, params)[0]) - np.pi / 2.0
+    theta = config["theta"] = float(config["theta"])
+    if cond is None:
         grid = quasiprob.quadrature_dist_cat(t, args.branch, theta, params, x_axis)
+    else:
+        grid = quasiprob.quadrature_dist_numeric(cond.rho_b, theta, x_axis)
 
-    rows = [[x_axis[i], grid.values[i]] for i in range(x_axis.size)]
-    config.update(time=t, branch=args.branch, theta=theta, numeric=bool(args.numeric))
-    write_csv(args.out, config, ["x", "p"], rows)
+    write_csv(args.out, config, ["x", "p"], zip(x_axis, grid.values))
     return 0
 
 
@@ -505,8 +418,8 @@ def _verify_propagator(params, n_mech, n_oracle, times, tol):
     worst_flipped = np.inf
     keep = np.concatenate([m * n_oracle + np.arange(n_mech) for m in range(3)])
     for t in times:
-        u_fact = propagator_factored(t, params, spec).matrix
-        u_oracle = expm(h_big, -1j * t).matrix[np.ix_(keep, keep)]
+        u_fact = propagator_factored(t, params, spec)
+        u_oracle = expm(h_big, -1j * t)[np.ix_(keep, keep)]
         worst = max(worst, float(np.abs(u_fact - u_oracle).max()))
         if t > 0:
             factors = propagator_factors(t, params, spec)
@@ -519,8 +432,7 @@ def _verify_propagator(params, n_mech, n_oracle, times, tol):
     return worst < tol and worst_flipped > tol, worst, worst_flipped
 
 
-def cmd_verify(args):
-    config = resolve_config(CAT_DEFAULTS, args)
+def cmd_verify(args, config, cat_params, spec):
     checks = []
 
     # factored propagator vs dense exponential, plus sign sensitivity
@@ -533,10 +445,9 @@ def cmd_verify(args):
                    f"max dev {worst:.2e}; sign-flip control dev {worst_flipped:.2e}"))
 
     # unitarity of the factored propagator on a displacement-safe block
-    cat_params = params_from_config(config)
     spec = HilbertSpec(n_cav=2, n_mech=120)
     t_s = catstate.detection_time(cat_params)
-    u = propagator_factored(t_s, cat_params, spec).matrix
+    u = propagator_factored(t_s, cat_params, spec)
     lam = propagator_factors(t_s, cat_params, spec).lam
     k = safe_interior_dim(abs(lam[1]), spec.n_mech)
     keep = np.concatenate([m * spec.n_mech + np.arange(k) for m in range(2)])
@@ -563,99 +474,80 @@ def cmd_verify(args):
     dev_marg = float(np.abs(marg.values - quad.values).max())
     checks.append(("wigner-marginal", dev_marg < 1e-3, f"max dev {dev_marg:.2e}"))
 
-    all_ok = True
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 3
+    return 0 if all(ok for _name, ok, _detail in checks) else 3
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file with flat keys")
-    parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    for key in _PARAM_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    parser.add_argument("--n-cav", type=int, dest="n_cav")
-    parser.add_argument("--n-mech", type=int, dest="n_mech")
+class Command(NamedTuple):
+    """One ``ckom`` command. Every command takes --config, --out and a flag
+    per SystemParams field and cutoff; ``flags`` holds its other options as
+    (option string, add_argument keywords) and ``keys`` its other config keys
+    settable by flag."""
+
+    handler: Callable
+    defaults: dict
+    help: str
+    flags: tuple = ()
+    keys: tuple = ()
+
+
+_JOBS = ("--jobs", {"type": int, "default": 1, "help": "worker processes for sweeps"})
+_NUMERIC = ("--numeric", {"action": "store_true", "help": "use the master-equation route"})
+_BRANCH = ("--branch", {"choices": ["plus", "minus"], "default": "plus"})
+
+COMMANDS = {
+    "table1": Command(
+        cmd_table1, BLOCKADE_DEFAULTS, "predicted vs detected resonance detunings",
+        (_JOBS, ("--analytic", {"action": "store_true",
+                                "help": "skip the master-equation sweep"})),
+        _DETUNING_KEYS),
+    "blockade-sweep": Command(
+        cmd_blockade_sweep, BLOCKADE_DEFAULTS, "photon statistics vs drive detuning",
+        (_JOBS, _NUMERIC), _DETUNING_KEYS),
+    "blockade-map": Command(
+        cmd_blockade_map, BLOCKADE_DEFAULTS, "g2 over the (g0, g_ck) plane",
+        (_JOBS, _NUMERIC),
+        ("g0_min", "g0_max", "g0_steps", "gck_min", "gck_max", "gck_steps", "locus_n_max")),
+    "cat": Command(
+        cmd_cat, CAT_DEFAULTS, "cat-state probabilities and fidelities",
+        (("--mode", {"choices": ["closed", "open"], "default": "closed"}),),
+        ("t_max", "t_steps", "time")),
+    "wigner": Command(
+        cmd_wigner, PHASESPACE_DEFAULTS, "mechanical Wigner function",
+        (_NUMERIC, _BRANCH), ("time", "re_min", "re_max", "n_re", "im_min", "im_max", "n_im")),
+    "quadrature": Command(
+        cmd_quadrature, PHASESPACE_DEFAULTS, "rotated-quadrature distribution",
+        (_NUMERIC, _BRANCH, ("--theta", {"help": "rotation angle or 'auto'"})),
+        ("time", "x_min", "x_max", "n_x")),
+    "verify": Command(cmd_verify, CAT_DEFAULTS, "run the numerical self-checks"),
+}
 
 
 def _build_parser():
     parser = _Parser(prog="ckom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table1", help="predicted vs detected resonance detunings")
-    _add_common(p)
-    p.add_argument("--analytic", action="store_true",
-                   help="skip the master-equation sweep")
-    for key in ("detuning_min", "detuning_max", "detuning_step"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.set_defaults(func=cmd_table1, default_out="table1.csv")
-
-    p = sub.add_parser("blockade-sweep", help="photon statistics vs drive detuning")
-    _add_common(p)
-    p.add_argument("--numeric", action="store_true",
-                   help="add the master-equation g2 column")
-    for key in ("detuning_min", "detuning_max", "detuning_step"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.set_defaults(func=cmd_blockade_sweep, default_out="blockade_sweep.csv")
-
-    p = sub.add_parser("blockade-map", help="g2 over the (g0, g_ck) plane")
-    _add_common(p)
-    p.add_argument("--numeric", action="store_true")
-    for key in ("g0_min", "g0_max", "gck_min", "gck_max"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    for key in ("g0_steps", "gck_steps", "locus_n_max"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key)
-    p.set_defaults(func=cmd_blockade_map, default_out="blockade_map.csv")
-
-    p = sub.add_parser("cat", help="cat-state probabilities and fidelities")
-    _add_common(p)
-    p.add_argument("--mode", choices=["closed", "open"], default="closed")
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--t-steps", type=int, dest="t_steps")
-    p.add_argument("--time", type=float, dest="time", help="snapshot time (default t_s)")
-    p.set_defaults(func=cmd_cat, default_out="cat.csv")
-
-    p = sub.add_parser("wigner", help="mechanical Wigner function")
-    _add_common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--numeric", action="store_true")
-    group.add_argument("--analytic", action="store_true")
-    p.add_argument("--branch", choices=["plus", "minus"], default="plus")
-    p.add_argument("--time", type=float, dest="time")
-    for key in ("re_min", "re_max", "im_min", "im_max"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    for key in ("n_re", "n_im"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key)
-    p.set_defaults(func=cmd_wigner, default_out="wigner.csv")
-
-    p = sub.add_parser("quadrature", help="rotated-quadrature distribution")
-    _add_common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--numeric", action="store_true")
-    group.add_argument("--analytic", action="store_true")
-    p.add_argument("--branch", choices=["plus", "minus"], default="plus")
-    p.add_argument("--time", type=float, dest="time")
-    p.add_argument("--theta", dest="theta", help="rotation angle or 'auto'")
-    for key in ("x_min", "x_max"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    p.add_argument("--n-x", type=int, dest="n_x")
-    p.set_defaults(func=cmd_quadrature, default_out="quadrature.csv")
-
-    p = sub.add_parser("verify", help="run the numerical self-checks")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify, default_out=None)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file with flat keys")
+        p.add_argument("--out", default=f"{name.replace('-', '_')}.csv",
+                       help="output CSV path")
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
+        for key in _PARAM_KEYS + ("n_cav", "n_mech") + command.keys:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           type=int if key in _INT_KEYS else float)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "out", None) is None:
-        args.out = args.default_out
+    args = _build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        config = resolve_config(command.defaults, args)
+        params = SystemParams(**{k: float(config[k]) for k in _PARAM_KEYS})
+        spec = HilbertSpec(n_cav=int(config["n_cav"]), n_mech=int(config["n_mech"]))
+        return command.handler(args, config, params, spec)
     except _NUMERICAL_ERRORS as exc:
         print(f"ckom: numerical failure: {_failure(exc)}", file=sys.stderr)
         return 2

@@ -1,33 +1,38 @@
 """Exception types shared across the package."""
 
 
-class SingularDenominator(ValueError):
+class NumericalError(Exception):
+    """Base of every error below. Each also keeps its builtin base, so it can
+    be caught as the whole family or on its own as before."""
+
+
+class SingularDenominator(NumericalError, ValueError):
     """The effective mechanical frequency omega_m - m*g_ck is zero or negative."""
 
 
-class NonConvergedSum(RuntimeError):
+class NonConvergedSum(NumericalError, RuntimeError):
     """A phonon-sideband sum was truncated before its tail became negligible."""
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(NumericalError, RuntimeError):
     """Relaxation toward the steady state did not settle within the time budget."""
 
 
-class StepSizeUnderflow(RuntimeError):
+class StepSizeUnderflow(NumericalError, RuntimeError):
     """The adaptive integrator could not take a step at the requested tolerance."""
 
 
-class ZeroPhotonNumber(ArithmeticError):
+class ZeroPhotonNumber(NumericalError, ArithmeticError):
     """g2 is undefined because the mean photon number is numerically zero."""
 
 
-class DegenerateCat(ArithmeticError):
+class DegenerateCat(NumericalError, ArithmeticError):
     """The requested cat branch has vanishing norm at this time."""
 
 
-class DegenerateBranch(ArithmeticError):
+class DegenerateBranch(NumericalError, ArithmeticError):
     """The requested measurement branch has vanishing probability."""
 
 
-class TruncationLoss(RuntimeError):
+class TruncationLoss(NumericalError, RuntimeError):
     """The mechanical cutoff is too small to hold the requested state."""

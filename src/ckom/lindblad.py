@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .operators import HilbertSpec, Operator, build_h_driven, build_h_gom, build_mode_operators
+from .operators import HilbertSpec, build_h_driven, build_h_gom, build_mode_operators
 from .errors import NonConvergence, StepSizeUnderflow, ZeroPhotonNumber
 
 
@@ -26,22 +26,20 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian plus decay channels as (jump operator, rate) pairs.
+    """Hamiltonian matrix on ``spec`` plus decay channels as (jump operator,
+    rate) pairs.
 
     The rates of the standard channels are also kept by name: ``kappa`` on
     a, ``gamma_down`` = gamma_m (nbar+1) on b and ``gamma_up`` = gamma_m nbar
     on b+.
     """
 
-    hamiltonian: Operator
+    spec: HilbertSpec
+    hamiltonian: np.ndarray
     channels: tuple
     kappa: float
     gamma_down: float
     gamma_up: float
-
-    @property
-    def spec(self):
-        return self.hamiltonian.spec
 
 
 def make_lindblad(params, spec, frame="rotating"):
@@ -58,7 +56,7 @@ def make_lindblad(params, spec, frame="rotating"):
     gamma_down = params.gamma_m * (params.nbar_m + 1.0)
     gamma_up = params.gamma_m * params.nbar_m
     channels = ((ops.a, params.kappa), (ops.b, gamma_down), (ops.b_dag, gamma_up))
-    return LindbladSpec(hamiltonian=h, channels=channels, kappa=params.kappa,
+    return LindbladSpec(spec=spec, hamiltonian=h, channels=channels, kappa=params.kappa,
                         gamma_down=gamma_down, gamma_up=gamma_up)
 
 
@@ -72,20 +70,33 @@ def _as_matrix(rho):
     return rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho)
 
 
+def _liouvillian(ls):
+    """drho/dt as a function of a plain matrix, with the products of each
+    damped channel formed once."""
+    h = ls.hamiltonian
+    chans = [
+        (o, o.conj().T, rate, rate * (o.conj().T @ o))
+        for o, rate in ls.channels
+        if rate > 0.0
+    ]
+
+    def rhs(r):
+        out = -1j * (h @ r - r @ h)
+        for o, odag, rate, oo in chans:
+            out += rate * (o @ r @ odag)
+            out -= 0.5 * (oo @ r + r @ oo)
+        return out
+
+    return rhs
+
+
 def apply_liouvillian(ls, rho):
     """Right-hand side drho/dt for a density matrix (returns a plain matrix)."""
     r = _as_matrix(rho)
-    h = ls.hamiltonian.matrix
+    h = ls.hamiltonian
     if r.shape != h.shape:
         raise ValueError(f"density matrix shape {r.shape} != Hamiltonian {h.shape}")
-    out = -1j * (h @ r - r @ h)
-    for o, rate in ls.channels:
-        if rate == 0.0:
-            continue
-        odag = o.conj().T
-        oo = odag @ o
-        out += rate * (o @ r @ odag - 0.5 * (oo @ r + r @ oo))
-    return out
+    return _liouvillian(ls)(r)
 
 
 def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
@@ -98,24 +109,9 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     d = ls.spec.dim
     r0 = _as_matrix(rho0).astype(complex)
     t_grid = np.asarray(t_grid, dtype=float)
-    h = ls.hamiltonian.matrix
-    chans = [
-        (o, o.conj().T, rate * (o.conj().T @ o))
-        for o, rate in ls.channels
-        if rate > 0.0
-    ]
-    rates = [rate for _o, rate in ls.channels if rate > 0.0]
-
-    def rhs(_t, y):
-        r = y.reshape(d, d)
-        out = -1j * (h @ r - r @ h)
-        for (o, odag, oo), rate in zip(chans, rates):
-            out += rate * (o @ r @ odag)
-            out -= 0.5 * (oo @ r + r @ oo)
-        return out.ravel()
-
+    rhs = _liouvillian(ls)
     sol = solve_ivp(
-        rhs,
+        lambda _t, y: rhs(y.reshape(d, d)).ravel(),
         (t_grid[0], t_grid[-1]),
         r0.ravel(),
         t_eval=t_grid,
@@ -165,7 +161,7 @@ def _steady_direct(ls):
     """Null vector of the vectorized Liouvillian, with the first row replaced
     by the trace constraint (row-major vec convention)."""
     d = ls.spec.dim
-    h = sp.csr_matrix(ls.hamiltonian.matrix)
+    h = sp.csr_matrix(ls.hamiltonian)
     eye = sp.identity(d, format="csr")
     liou = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
     for o, rate in ls.channels:
@@ -218,7 +214,7 @@ def _steady_ladder(ls, max_sweeps=200):
     """
     spec = ls.spec
     nc, nm = spec.n_cav, spec.n_mech
-    h = ls.hamiltonian.matrix
+    h = ls.hamiltonian
     kappa, g_dn, g_up = ls.kappa, ls.gamma_down, ls.gamma_up
     if g_dn <= 0.0:
         return None
@@ -330,7 +326,7 @@ def steady_state(ls, method="evolve", t_max=None):
         return _steady_direct(ls)
     if method == "ladder":
         # a and b annihilate the vacuum; only the drive and b+ lift it
-        drive_free = np.abs(ls.hamiltonian.matrix[0, 1:]).max() == 0.0
+        drive_free = np.abs(ls.hamiltonian[0, 1:]).max() == 0.0
         if drive_free and ls.gamma_up == 0.0:
             return vacuum_density(ls.spec)  # vacuum is dark: exact fixed point
         rho = _steady_ladder(ls)

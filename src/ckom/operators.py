@@ -42,14 +42,6 @@ class HilbertSpec:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """A dense operator on a truncated two-mode space."""
-
-    spec: HilbertSpec
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class ModeOperators:
     a: np.ndarray
     a_dag: np.ndarray
@@ -96,13 +88,12 @@ def build_h_gom(spec, params):
     omega_c a+a + omega_m b+b - g0 a+a (b+ + b) - g_ck a+a b+b.
     """
     ops = build_mode_operators(spec)
-    h = (
+    return (
         params.omega_c * ops.n_a
         + params.omega_m * ops.n_b
         - params.g0 * ops.n_a @ (ops.b_dag + ops.b)
         - params.g_ck * ops.n_a @ ops.n_b
     )
-    return Operator(spec, h)
 
 
 def build_h_rotating(spec, params):
@@ -113,27 +104,23 @@ def build_h_rotating(spec, params):
 def build_h_driven(spec, params):
     """Rotating-frame Hamiltonian including the drive Omega (a+ + a)."""
     ops = build_mode_operators(spec)
-    h = build_h_rotating(spec, params).matrix + params.drive_amp * (ops.a_dag + ops.a)
-    return Operator(spec, h)
+    return build_h_rotating(spec, params) + params.drive_amp * (ops.a_dag + ops.a)
 
 
-def expm(op, scalar=1.0):
-    """Matrix exponential of scalar * op.
+def expm(mat, scalar=1.0):
+    """Matrix exponential of scalar * mat.
 
     Hermitian inputs (with real or purely imaginary scalar) go through an
     eigendecomposition; everything else uses scaling-and-squaring Pade.
-    Accepts an Operator or a plain square matrix and returns the same kind.
     """
-    mat = op.matrix if isinstance(op, Operator) else np.asarray(op)
+    mat = np.asarray(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix exponential needs a square matrix")
     herm = np.abs(mat - mat.conj().T).max() <= 1e-13 * max(np.abs(mat).max(), 1.0)
     if herm:
         w, v = sla.eigh(mat)
-        res = (v * np.exp(scalar * w)) @ v.conj().T
-    else:
-        res = sla.expm(scalar * mat)
-    return Operator(op.spec, res) if isinstance(op, Operator) else res
+        return (v * np.exp(scalar * w)) @ v.conj().T
+    return sla.expm(scalar * mat)
 
 
 def propagator_factors(t, params, spec):
@@ -168,4 +155,4 @@ def propagator_factored(t, params, spec):
         disp = displacement_matrix(m * f.lam[m], nm)
         rot = np.exp(1j * (m * params.g_ck - params.omega_m) * t * rot_freqs)
         u[spec.block(m), spec.block(m)] = phase * (disp * rot[None, :])
-    return Operator(spec, u)
+    return u

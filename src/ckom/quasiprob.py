@@ -40,9 +40,6 @@ class PhaseSpaceGrid:
             return float(np.trapezoid(inner, self.re_axis))
         return float(np.trapezoid(self.values, self.x_axis))
 
-    def eta_mesh(self):
-        return self.re_axis[:, None] + 1j * self.im_axis[None, :]
-
 
 def default_wigner_axes():
     return np.linspace(-2.0, 5.0, 141), np.linspace(-3.5, 3.5, 141)

@@ -1,12 +1,13 @@
 """Command-line surface: CSV shape, config echo/override, determinism,
 exit codes."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ckom.cli import main
+from ckom.cli import _build_parser, local_extrema, main
 
 
 def read_csv(path):
@@ -27,6 +28,31 @@ def column(header, rows, name, as_float=True):
     i = header.index(name)
     vals = [row[i] for row in rows]
     return np.array([float(v) for v in vals]) if as_float else vals
+
+
+def _extrema_loop(x, y, kind):
+    """Point-by-point reference for local_extrema."""
+    locs = []
+    for i in range(1, len(y) - 1):
+        if np.any(np.isnan(y[i - 1 : i + 2])):
+            continue
+        if kind == "min" and y[i] < y[i - 1] and y[i] < y[i + 1]:
+            locs.append(x[i])
+        if kind == "max" and y[i] > y[i - 1] and y[i] > y[i + 1]:
+            locs.append(x[i])
+    return np.array(locs)
+
+
+def test_local_extrema_matches_point_by_point_reference():
+    # ties, NaN neighbourhoods and curves too short to have an interior
+    rng = np.random.default_rng(0)
+    for n in (0, 1, 2, 3, 40):
+        for _ in range(25):
+            x = np.linspace(-1.0, 1.0, n)
+            y = rng.integers(0, 4, n).astype(float)
+            y[rng.random(n) < 0.15] = np.nan
+            for kind in ("min", "max"):
+                assert np.array_equal(local_extrema(x, y, kind), _extrema_loop(x, y, kind))
 
 
 class TestTable1:
@@ -89,6 +115,19 @@ class TestBlockadeSweep:
         g2a = column(header, rows, "g2_analytic")
         assert np.all(g2n > 0)
         assert np.all(np.maximum(g2n / g2a, g2a / g2n) < 1.5)
+
+    @pytest.mark.parametrize("command", ["table1", "blockade-sweep"])
+    def test_step_must_divide_the_range(self, command, tmp_path, capsys):
+        # a step of 0.3 cannot reach 0 from -1; it used to be rescaled to 1/3
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--detuning-min", "-1", "--detuning-max", "0",
+                  "--detuning-step", "0.3", "--out", str(out)])
+        assert err.value.code == 1
+        message = capsys.readouterr().err
+        for key in ("detuning_min", "detuning_max", "detuning_step"):
+            assert key in message
+        assert not out.exists()
 
     def test_nan_and_continue(self, tmp_path):
         # g_ck beyond omega_m/m_max: every point fails but the run completes
@@ -220,6 +259,16 @@ class TestConfigAndErrors:
             main(["blockade-sweep", "--steady-method", "ladder"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv", [["wigner", "--analytic"], ["quadrature", "--analytic"],
+                                      ["cat", "--jobs", "2"], ["verify", "--jobs", "2"],
+                                      ["cat", "--t-steps", "2.5"]])
+    def test_removed_options_and_integer_flags(self, argv):
+        # the analytic route is the default without --numeric, and only the
+        # sweeping commands take --jobs; count flags take integers
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # cat run with a cutoff far too small for the displacement
         rc = main(["cat", "--mode", "open", "--out", str(tmp_path / "c.csv"),
@@ -234,3 +283,36 @@ class TestVerify:
         assert rc == 0
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+
+_COMMON_OPTIONS = {
+    "--config", "--out", "--g0", "--g-ck", "--kappa", "--gamma-m", "--nbar-m",
+    "--delta-c", "--drive-amp", "--omega-c", "--omega-m", "--n-cav", "--n-mech",
+}
+_COMMAND_OPTIONS = {
+    "table1": {"--jobs", "--analytic", "--detuning-min", "--detuning-max",
+               "--detuning-step"},
+    "blockade-sweep": {"--jobs", "--numeric", "--detuning-min", "--detuning-max",
+                       "--detuning-step"},
+    "blockade-map": {"--jobs", "--numeric", "--g0-min", "--g0-max", "--g0-steps",
+                     "--gck-min", "--gck-max", "--gck-steps", "--locus-n-max"},
+    "cat": {"--mode", "--t-max", "--t-steps", "--time"},
+    "wigner": {"--numeric", "--branch", "--time", "--re-min", "--re-max", "--n-re",
+               "--im-min", "--im-max", "--n-im"},
+    "quadrature": {"--numeric", "--branch", "--theta", "--time", "--x-min", "--x-max",
+                   "--n-x"},
+    "verify": set(),
+}
+
+
+class TestOptions:
+    def test_option_strings_of_every_command(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(_COMMAND_OPTIONS)
+        n_flags = 0
+        for name, parser in sub.choices.items():
+            options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert options == _COMMON_OPTIONS | _COMMAND_OPTIONS[name], name
+            n_flags += len(options)
+        assert n_flags == 130

@@ -85,7 +85,7 @@ class TestEvolve:
         rho0 = DensityMatrix(spec, np.outer(psi0, psi0.conj()))
         t = 4.0
         rho_t = evolve(ls, rho0, np.array([0.0, t]))[-1].rho
-        u = expm(build_h_driven(spec, p), -1j * t).matrix
+        u = expm(build_h_driven(spec, p), -1j * t)
         psi_t = u @ psi0
         fidelity = np.real(psi_t.conj() @ rho_t @ psi_t)
         assert fidelity >= 1.0 - 1e-8
