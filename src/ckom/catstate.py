@@ -168,7 +168,7 @@ def _theta_matrices(dm):
     spec = dm.spec
     if spec.n_cav < 2:
         raise ValueError("conditioning needs at least the 0- and 1-photon sectors")
-    blocks = dm.rho.reshape(spec.n_cav, spec.n_mech, spec.n_cav, spec.n_mech)
+    blocks = spec.blocks(dm.rho)
     diag = blocks[0, :, 0, :] + blocks[1, :, 1, :]
     cross = blocks[0, :, 1, :] + blocks[1, :, 0, :]
     return diag + cross, diag - cross

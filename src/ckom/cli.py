@@ -52,7 +52,7 @@ BLOCKADE_DEFAULTS = {
     "locus_n_max": 6,
 }
 
-CAT_DEFAULTS = {
+_CAT_COMMON = {
     "g0": 1.2,
     "g_ck": 0.3,
     "kappa": 0.1,
@@ -64,22 +64,32 @@ CAT_DEFAULTS = {
     "omega_m": 1.0,
     "n_cav": 2,
     "n_mech": 60,
-    "t_max": None,
-    "t_steps": 201,
     "time": None,
+}
+
+# each CSV-writing command's defaults hold only the keys it reads, so the
+# echo of the resolved config lists nothing it ignored
+CAT_DEFAULTS = {**_CAT_COMMON, "t_max": None, "t_steps": 201}
+
+WIGNER_DEFAULTS = {
+    **_CAT_COMMON,
+    "omega_c": 1000.0,
     "re_min": -2.0,
     "re_max": 5.0,
     "n_re": 141,
     "im_min": -3.5,
     "im_max": 3.5,
     "n_im": 141,
+}
+
+QUADRATURE_DEFAULTS = {
+    **_CAT_COMMON,
+    "omega_c": 1000.0,
     "x_min": -4.0,
     "x_max": 7.0,
     "n_x": 551,
     "theta": "auto",
 }
-
-PHASESPACE_DEFAULTS = {**CAT_DEFAULTS, "omega_c": 1000.0}
 
 _PARAM_KEYS = tuple(field.name for field in dataclasses.fields(SystemParams))
 # config keys whose flags take integers; every other config flag takes a float
@@ -309,14 +319,17 @@ def _derived_path(path, tag):
 
 
 def _snapshot_time(config, params):
-    """The config's snapshot "time", by default the detection time t_s."""
+    """The config's snapshot "time", by default the detection time t_s;
+    the resolved value replaces it in the config, so the CSV echoes it."""
     t = config["time"]
-    return catstate.detection_time(params) if t is None else float(t)
+    config["time"] = t = catstate.detection_time(params) if t is None else float(t)
+    return t
 
 
 def cmd_cat(args, config, params, spec):
     t_max = config["t_max"]
     t_max = 2.0 * catstate.detection_time(params) if t_max is None else float(t_max)
+    config["t_max"] = t_max
     t_grid = np.linspace(0.0, t_max, int(config["t_steps"]))
     t_snap = _snapshot_time(config, params)
     snap_path = _derived_path(args.out, "snapshot")
@@ -365,7 +378,7 @@ def _snapshot(args, config, params, spec):
     and with --numeric the open-system state conditioned on the branch at
     that time (else None)."""
     t = _snapshot_time(config, params)
-    config.update(time=t, branch=args.branch, numeric=bool(args.numeric))
+    config.update(branch=args.branch, numeric=bool(args.numeric))
     if not args.numeric:
         return t, None
     ls = make_lindblad(params, spec, frame="lab")
@@ -514,10 +527,10 @@ COMMANDS = {
         (("--mode", {"choices": ["closed", "open"], "default": "closed"}),),
         ("t_max", "t_steps", "time")),
     "wigner": Command(
-        cmd_wigner, PHASESPACE_DEFAULTS, "mechanical Wigner function",
+        cmd_wigner, WIGNER_DEFAULTS, "mechanical Wigner function",
         (_NUMERIC, _BRANCH), ("time", "re_min", "re_max", "n_re", "im_min", "im_max", "n_im")),
     "quadrature": Command(
-        cmd_quadrature, PHASESPACE_DEFAULTS, "rotated-quadrature distribution",
+        cmd_quadrature, QUADRATURE_DEFAULTS, "rotated-quadrature distribution",
         (_NUMERIC, _BRANCH, ("--theta", {"help": "rotation angle or 'auto'"})),
         ("time", "x_min", "x_max", "n_x")),
     "verify": Command(cmd_verify, CAT_DEFAULTS, "run the numerical self-checks"),

@@ -2,7 +2,9 @@
 
 The master equation is
     drho/dt = -i[H, rho] + kappa D[a] + gamma_m (nbar+1) D[b] + gamma_m nbar D[b+]
-with D[o] rho = o rho o+ - (o+o rho + rho o+o)/2.
+with D[o] rho = o rho o+ - (o+o rho + rho o+o)/2. Time evolution and the
+ladder steady state use its photon-number block form (``_BlockGenerator``);
+the direct steady state builds it from the full-space operators instead.
 """
 
 import warnings
@@ -14,7 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .operators import HilbertSpec, build_h_driven, build_h_gom, build_mode_operators
+from .operators import (HilbertSpec, build_h_driven, build_h_gom, build_mode_operators,
+                        destroy)
 from .errors import NonConvergence, StepSizeUnderflow, ZeroPhotonNumber
 
 
@@ -26,17 +29,12 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian matrix on ``spec`` plus decay channels as (jump operator,
-    rate) pairs.
-
-    The rates of the standard channels are also kept by name: ``kappa`` on
-    a, ``gamma_down`` = gamma_m (nbar+1) on b and ``gamma_up`` = gamma_m nbar
-    on b+.
-    """
+    """Hamiltonian matrix on ``spec`` and the rates of the standard decay
+    channels: ``kappa`` on a, ``gamma_down`` = gamma_m (nbar+1) on b and
+    ``gamma_up`` = gamma_m nbar on b+."""
 
     spec: HilbertSpec
     hamiltonian: np.ndarray
-    channels: tuple
     kappa: float
     gamma_down: float
     gamma_up: float
@@ -46,18 +44,15 @@ def make_lindblad(params, spec, frame="rotating"):
     """Standard dissipation channels around the driven rotating-frame
     Hamiltonian (``frame="rotating"``) or the undriven lab-frame one
     (``frame="lab"``, used for the cat-state runs)."""
-    ops = build_mode_operators(spec)
     if frame == "rotating":
         h = build_h_driven(spec, params)
     elif frame == "lab":
         h = build_h_gom(spec, params)
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    gamma_down = params.gamma_m * (params.nbar_m + 1.0)
-    gamma_up = params.gamma_m * params.nbar_m
-    channels = ((ops.a, params.kappa), (ops.b, gamma_down), (ops.b_dag, gamma_up))
-    return LindbladSpec(spec=spec, hamiltonian=h, channels=channels, kappa=params.kappa,
-                        gamma_down=gamma_down, gamma_up=gamma_up)
+    return LindbladSpec(spec=spec, hamiltonian=h, kappa=params.kappa,
+                        gamma_down=params.gamma_m * (params.nbar_m + 1.0),
+                        gamma_up=params.gamma_m * params.nbar_m)
 
 
 def vacuum_density(spec):
@@ -70,24 +65,90 @@ def _as_matrix(rho):
     return rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho)
 
 
-def _liouvillian(ls):
-    """drho/dt as a function of a plain matrix, with the products of each
-    damped channel formed once."""
-    h = ls.hamiltonian
-    chans = [
-        (o, o.conj().T, rate, rate * (o.conj().T @ o))
-        for o, rate in ls.channels
-        if rate > 0.0
-    ]
+class _BlockGenerator:
+    """The master equation on the photon-number blocks rho^{m mp} of rho.
 
-    def rhs(r):
-        out = -1j * (h @ r - r @ h)
-        for o, odag, rate, oo in chans:
-            out += rate * (o @ r @ odag)
-            out -= 0.5 * (oo @ r + r @ oo)
+    The Hamiltonian couples only neighbouring photon numbers and each channel
+    maps a block only onto its neighbours, so
+
+        d rho^{m mp}/dt = G_m rho^{m mp} + rho^{m mp} G_mp^+ + rest(m, mp)
+
+    with the sector drifts G_m = -i H_mm - kappa m/2 - (gamma_down b+b +
+    gamma_up b b+)/2, and ``rest`` the drive couplings H_{m,m+-1}, the photon
+    feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1} and the mechanical jumps
+    gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
+    """
+
+    def __init__(self, ls):
+        self.spec = spec = ls.spec
+        self.kappa, self.gamma_down, self.gamma_up = ls.kappa, ls.gamma_down, ls.gamma_up
+        h = spec.blocks(ls.hamiltonian)
+        self.b = b = destroy(spec.n_mech)
+        damp = 0.5 * (ls.gamma_down * (b.conj().T @ b) + ls.gamma_up * (b @ b.conj().T))
+        eye = np.eye(spec.n_mech)
+        self.drift = [-1j * h[m, :, m, :] - 0.5 * ls.kappa * m * eye - damp
+                      for m in range(spec.n_cav)]
+        self.drift_dag = [g.conj().T for g in self.drift]
+        self.up = [h[m, :, m + 1, :] for m in range(spec.n_cav - 1)]  # H_{m,m+1}
+        self.up_dag = [u.conj().T for u in self.up]
+        root = np.sqrt(np.arange(1.0, spec.n_mech))
+        self.jump_weight = np.outer(root, root)
+
+    def rest(self, v, m, mp):
+        """Drive couplings, feed-down and mechanical jumps of block (m, mp),
+        read from the block view ``v`` of rho."""
+        last = self.spec.n_cav - 1
+        x = v[m, :, mp, :]
+        r = np.zeros(x.shape, dtype=complex)
+        if m > 0:
+            r -= 1j * (self.up_dag[m - 1] @ v[m - 1, :, mp, :])
+        if m < last:
+            r -= 1j * (self.up[m] @ v[m + 1, :, mp, :])
+        if mp > 0:
+            r += 1j * (v[m, :, mp - 1, :] @ self.up[mp - 1])
+        if mp < last:
+            r += 1j * (v[m, :, mp + 1, :] @ self.up_dag[mp])
+        if m < last and mp < last:
+            r += self.kappa * np.sqrt((m + 1.0) * (mp + 1.0)) * v[m + 1, :, mp + 1, :]
+        # b x b+ and b+ x b shift x one step along the diagonal
+        r[:-1, :-1] += self.gamma_down * self.jump_weight * x[1:, 1:]
+        r[1:, 1:] += self.gamma_up * self.jump_weight * x[:-1, :-1]
+        return r
+
+    def apply(self, rho):
+        """d rho/dt of a full matrix, every block evaluated on its own."""
+        v = self.spec.blocks(rho)
+        out = np.empty(rho.shape, dtype=complex)
+        o = self.spec.blocks(out)
+        for m in range(self.spec.n_cav):
+            for mp in range(self.spec.n_cav):
+                x = v[m, :, mp, :]
+                o[m, :, mp, :] = (self.drift[m] @ x + x @ self.drift_dag[mp]
+                                  + self.rest(v, m, mp))
         return out
 
-    return rhs
+
+def _constrained_liouvillian(h, jumps):
+    """Sparse vectorized Liouvillian of -i[h, .] + sum rate D[o] over the
+    (o, rate) pairs in ``jumps`` (row-major vec convention), with its first
+    row replaced by the trace constraint."""
+    d = h.shape[0]
+    h = sp.csr_matrix(h)
+    eye = sp.identity(d, format="csr")
+    liou = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+    for o, rate in jumps:
+        if rate == 0.0:
+            continue
+        os = sp.csr_matrix(o)
+        oo = (os.conj().T @ os).tocsr()
+        liou = liou + rate * (
+            sp.kron(os, os.conj()) - 0.5 * sp.kron(oo, eye) - 0.5 * sp.kron(eye, oo.T)
+        )
+    liou = liou.tolil()
+    trace_row = np.zeros(d * d)
+    trace_row[np.arange(d) * (d + 1)] = 1.0
+    liou[0, :] = trace_row
+    return liou
 
 
 def apply_liouvillian(ls, rho):
@@ -96,7 +157,7 @@ def apply_liouvillian(ls, rho):
     h = ls.hamiltonian
     if r.shape != h.shape:
         raise ValueError(f"density matrix shape {r.shape} != Hamiltonian {h.shape}")
-    return _liouvillian(ls)(r)
+    return _BlockGenerator(ls).apply(r)
 
 
 def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
@@ -109,9 +170,9 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     d = ls.spec.dim
     r0 = _as_matrix(rho0).astype(complex)
     t_grid = np.asarray(t_grid, dtype=float)
-    rhs = _liouvillian(ls)
+    gen = _BlockGenerator(ls)
     sol = solve_ivp(
-        lambda _t, y: rhs(y.reshape(d, d)).ravel(),
+        lambda _t, y: gen.apply(y.reshape(d, d)).ravel(),
         (t_grid[0], t_grid[-1]),
         r0.ravel(),
         t_eval=t_grid,
@@ -158,24 +219,14 @@ def _steady_by_integration(ls, t_max):
 
 
 def _steady_direct(ls):
-    """Null vector of the vectorized Liouvillian, with the first row replaced
-    by the trace constraint (row-major vec convention)."""
+    """Null vector of the vectorized Liouvillian with the trace constraint,
+    built from the full-space mode operators, independently of the block
+    form."""
     d = ls.spec.dim
-    h = sp.csr_matrix(ls.hamiltonian)
-    eye = sp.identity(d, format="csr")
-    liou = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-    for o, rate in ls.channels:
-        if rate == 0.0:
-            continue
-        os = sp.csr_matrix(o)
-        oo = (os.conj().T @ os).tocsr()
-        liou = liou + rate * (
-            sp.kron(os, os.conj()) - 0.5 * sp.kron(oo, eye) - 0.5 * sp.kron(eye, oo.T)
-        )
-    liou = liou.tolil()
-    trace_row = np.zeros(d * d)
-    trace_row[np.arange(d) * (d + 1)] = 1.0
-    liou[0, :] = trace_row
+    ops = build_mode_operators(ls.spec)
+    liou = _constrained_liouvillian(
+        ls.hamiltonian, ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up))
+    )
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
@@ -197,15 +248,14 @@ def _steady_direct(ls):
 def _steady_ladder(ls, max_sweeps=200):
     """Steady state solved block-by-block in the photon indices.
 
-    The density matrix splits into mechanical blocks rho^{m m'}; at weak
-    drive the block magnitudes fall off as Omega^{m+m'}, so a global solve
-    loses the tiny high-photon blocks to roundoff of the large ones. Here
-    each block is solved at its own scale: the block drift is inverted as a
-    Sylvester equation in the eigenbasis of the per-sector non-Hermitian
-    drift, while the drive couplings, the photon-decay feed-down and the
-    mechanical jump terms are iterated Gauss-Seidel style to convergence.
-    The photon-vacuum block, whose drift alone is singular, is solved with
-    its full mechanical dissipator and a trace constraint.
+    At weak drive the block magnitudes fall off as Omega^{m+m'}, so a global
+    solve loses the tiny high-photon blocks to roundoff of the large ones.
+    Here each block of the block form is solved at its own scale: its drift
+    is inverted as a Sylvester equation in the eigenbases of the sector
+    drifts, while the rest (drive couplings, photon feed-down, mechanical
+    jumps) is iterated Gauss-Seidel style to convergence. The photon-vacuum
+    block, whose drift alone is singular, is solved with its mechanical
+    jumps and a trace constraint.
 
     Needs mechanical damping (the vacuum-block dissipator must have a unique
     fixed point) and a drive weaker than the cavity linewidth (contraction of
@@ -214,58 +264,24 @@ def _steady_ladder(ls, max_sweeps=200):
     """
     spec = ls.spec
     nc, nm = spec.n_cav, spec.n_mech
-    h = ls.hamiltonian
-    kappa, g_dn, g_up = ls.kappa, ls.gamma_down, ls.gamma_up
-    if g_dn <= 0.0:
+    if ls.gamma_down <= 0.0:
         return None
-    b = np.diag(np.sqrt(np.arange(1.0, nm)), 1).astype(complex)
-    b_dag = b.conj().T
-    n_b = b_dag @ b
-    bbd = b @ b_dag
-
-    h_blk = [h[spec.block(m), spec.block(m)] for m in range(nc)]
-    d_up = [h[spec.block(m), spec.block(m + 1)] for m in range(nc - 1)]
-    if max(np.abs(d).max() for d in d_up) > 0.5 * kappa * nc:
+    gen = _BlockGenerator(ls)
+    if max(np.abs(u).max() for u in gen.up) > 0.5 * ls.kappa * nc:
         return None  # hierarchy not contracting at this drive strength
 
-    mech_damp = 0.5 * (g_dn * n_b + g_up * bbd)
     eig = []
-    for m in range(nc):
-        g = -1j * h_blk[m] - 0.5 * kappa * m * np.eye(nm) - mech_damp
+    for g in gen.drift:
         lam, v = sla.eig(g)
         eig.append((lam, v, sla.inv(v)))
+    lu00 = sla.lu_factor(_constrained_liouvillian(
+        spec.blocks(ls.hamiltonian)[0, :, 0, :],
+        ((gen.b, ls.gamma_down), (gen.b.conj().T, ls.gamma_up)),
+    ).toarray())
 
-    # photon-vacuum block: full mechanical Lindblad + trace constraint
-    eye = np.eye(nm)
-    l00 = (
-        -1j * (np.kron(h_blk[0], eye) - np.kron(eye, h_blk[0].T))
-        + g_dn * (np.kron(b, b.conj()) - 0.5 * (np.kron(n_b, eye) + np.kron(eye, n_b.T)))
-        + g_up * (np.kron(b_dag, b_dag.conj()) - 0.5 * (np.kron(bbd, eye) + np.kron(eye, bbd.T)))
-    )
-    l00[0, :] = 0.0
-    l00[0, np.arange(nm) * (nm + 1)] = 1.0
-    lu00 = sla.lu_factor(l00)
-
-    rho = [[np.zeros((nm, nm), dtype=complex) for _ in range(nc)] for _ in range(nc)]
-    rho[0][0][0, 0] = 1.0
-
-    def mech_jumps(x):
-        return g_dn * (b @ x @ b_dag) + g_up * (b_dag @ x @ b)
-
-    def coupling(m, mp):
-        r = np.zeros((nm, nm), dtype=complex)
-        if m > 0:
-            r += -1j * (d_up[m - 1].conj().T @ rho[m - 1][mp])
-        if m < nc - 1:
-            r += -1j * (d_up[m] @ rho[m + 1][mp])
-        if mp > 0:
-            r += 1j * (rho[m][mp - 1] @ d_up[mp - 1])
-        if mp < nc - 1:
-            r += 1j * (rho[m][mp + 1] @ d_up[mp].conj().T)
-        if m < nc - 1 and mp < nc - 1:
-            r += kappa * np.sqrt((m + 1.0) * (mp + 1.0)) * rho[m + 1][mp + 1]
-        return r
-
+    rho = np.zeros((spec.dim, spec.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    blocks = spec.blocks(rho)
     order = sorted(
         ((m, mp) for m in range(nc) for mp in range(m, nc)), key=lambda t: t[0] + t[1]
     )
@@ -273,30 +289,32 @@ def _steady_ladder(ls, max_sweeps=200):
         delta = 0.0
         scale = 0.0
         for m, mp in order:
+            prev = blocks[m, :, mp, :].copy()
             if m == 0 and mp == 0:
-                trace_target = 1.0 - sum(np.trace(rho[k][k]).real for k in range(1, nc))
-                rhs = -coupling(0, 0).ravel()
-                rhs[0] = trace_target
+                # zeroed first, so rest holds only the neighbours' terms; the
+                # block's own mechanical jumps are in lu00
+                blocks[0, :, 0, :] = 0.0
+                rhs = -gen.rest(blocks, 0, 0).ravel()
+                rhs[0] = 1.0 - sum(np.trace(blocks[k, :, k, :]).real for k in range(1, nc))
                 new = sla.lu_solve(lu00, rhs).reshape(nm, nm)
             else:
-                q = -coupling(m, mp) - mech_jumps(rho[m][mp])
+                q = -gen.rest(blocks, m, mp)
                 lam_m, v_m, vinv_m = eig[m]
                 lam_p, v_p, vinv_p = eig[mp]
                 q_t = vinv_m @ q @ vinv_p.conj().T
                 x_t = q_t / (lam_m[:, None] + lam_p[None, :].conj())
                 new = v_m @ x_t @ v_p.conj().T
-            delta = max(delta, np.abs(new - rho[m][mp]).max())
+            delta = max(delta, np.abs(new - prev).max())
             scale = max(scale, np.abs(new).max())
-            rho[m][mp] = new
+            blocks[m, :, mp, :] = new
             if mp != m:
-                rho[mp][m] = new.conj().T
+                blocks[mp, :, m, :] = new.conj().T
         if delta <= 1e-15 * max(scale, 1.0):
             break
     else:
         return None  # the hierarchy iteration has not settled
-    full = np.block(rho)
-    full = 0.5 * (full + full.conj().T)
-    return DensityMatrix(spec, full / np.trace(full).real)
+    rho = 0.5 * (rho + rho.conj().T)
+    return DensityMatrix(spec, rho / np.trace(rho).real)
 
 
 def steady_state(ls, method="evolve", t_max=None):
@@ -339,7 +357,7 @@ def steady_state(ls, method="evolve", t_max=None):
 def observables(dm):
     """Photon-number probabilities, mode occupations and g2 from a state."""
     spec = dm.spec
-    blocks = dm.rho.reshape(spec.n_cav, spec.n_mech, spec.n_cav, spec.n_mech)
+    blocks = spec.blocks(dm.rho)
     p = np.array([np.trace(blocks[m, :, m, :]).real for m in range(spec.n_cav)])
     m_idx = np.arange(spec.n_cav)
     n_photon = float(np.sum(p * m_idx))

@@ -40,6 +40,11 @@ class HilbertSpec:
         """Slice selecting the m-photon sector."""
         return slice(m * self.n_mech, (m + 1) * self.n_mech)
 
+    def blocks(self, mat):
+        """View of a dim x dim matrix as (n_cav, n_mech, n_cav, n_mech):
+        ``[m, :, mp, :]`` is its photon-number block (m, mp)."""
+        return mat.reshape(self.n_cav, self.n_mech, self.n_cav, self.n_mech)
+
 
 @dataclass(frozen=True)
 class ModeOperators:

@@ -65,7 +65,42 @@ class TestLiouvillian:
         p = SystemParams(kappa=0.3, gamma_m=0.02, nbar_m=0.5)
         ls = make_lindblad(p, spec, frame="rotating")
         assert (ls.kappa, ls.gamma_down, ls.gamma_up) == (0.3, 0.02 * 1.5, 0.02 * 0.5)
-        assert [rate for _o, rate in ls.channels] == [ls.kappa, ls.gamma_down, ls.gamma_up]
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n_cav=st.integers(2, 4),
+        n_mech=st.integers(2, 6),
+        frame=st.sampled_from(["rotating", "lab"]),
+        g0=st.floats(0.0, 1.0),
+        g_ck=st.floats(0.0, 0.3),
+        kappa=st.floats(0.05, 0.5),
+        gamma_m=st.floats(1e-3, 0.1),
+        nbar_m=st.floats(0.01, 1.0),
+        drive_amp=st.floats(1e-3, 0.1),
+        delta_c=st.floats(-3.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_form_matches_full_space_liouvillian(self, n_cav, n_mech, frame, seed,
+                                                       **physics):
+        # the direct route's vectorized Liouvillian, built from the full-space
+        # a, b and b+, applied to vec(rho) of a non-Hermitian rho; its first
+        # row is the trace constraint, so drho[0, 0] is pinned by trace
+        # conservation instead
+        spec = HilbertSpec(n_cav, n_mech)
+        ls = make_lindblad(SystemParams(**physics), spec, frame=frame)
+        rng = np.random.default_rng(seed)
+        rho = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+        ops = build_mode_operators(spec)
+        liou = lindblad._constrained_liouvillian(
+            ls.hamiltonian,
+            ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up)),
+        ).tocsr()
+        want = liou @ rho.ravel()
+        got = apply_liouvillian(ls, rho)
+        scale = np.abs(want[1:]).max()
+        assert np.abs(got.ravel()[1:] - want[1:]).max() <= 1e-13 * scale
+        assert abs(np.trace(got)) <= 1e-13 * scale
+        assert want[0] == pytest.approx(np.trace(rho), rel=1e-13)
 
     def test_dimension_mismatch(self):
         spec = HilbertSpec(3, 4)
