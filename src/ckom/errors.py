@@ -36,3 +36,7 @@ class DegenerateBranch(NumericalError, ArithmeticError):
 
 class TruncationLoss(NumericalError, RuntimeError):
     """The mechanical cutoff is too small to hold the requested state."""
+
+
+class SolverFallback(NumericalError, RuntimeWarning):
+    """Warning: a steady-state solver did not apply or converge and another ran instead."""

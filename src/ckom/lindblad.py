@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 
 from .operators import (HilbertSpec, build_h_driven, build_h_gom, build_mode_operators,
                         destroy)
-from .errors import NonConvergence, StepSizeUnderflow, ZeroPhotonNumber
+from .errors import NonConvergence, SolverFallback, StepSizeUnderflow, ZeroPhotonNumber
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,15 @@ class DensityMatrix:
 class LindbladSpec:
     """Hamiltonian matrix on ``spec`` and the rates of the standard decay
     channels: ``kappa`` on a, ``gamma_down`` = gamma_m (nbar+1) on b and
-    ``gamma_up`` = gamma_m nbar on b+."""
+    ``gamma_up`` = gamma_m nbar on b+. ``omega_c`` is the frame's a+a
+    frequency: 0 in the rotating frame, whose drive does not commute with a+a."""
 
     spec: HilbertSpec
     hamiltonian: np.ndarray
     kappa: float
     gamma_down: float
     gamma_up: float
+    omega_c: float
 
 
 def make_lindblad(params, spec, frame="rotating"):
@@ -45,14 +47,14 @@ def make_lindblad(params, spec, frame="rotating"):
     Hamiltonian (``frame="rotating"``) or the undriven lab-frame one
     (``frame="lab"``, used for the cat-state runs)."""
     if frame == "rotating":
-        h = build_h_driven(spec, params)
+        h, omega_c = build_h_driven(spec, params), 0.0
     elif frame == "lab":
-        h = build_h_gom(spec, params)
+        h, omega_c = build_h_gom(spec, params), params.omega_c
     else:
         raise ValueError(f"unknown frame {frame!r}")
     return LindbladSpec(spec=spec, hamiltonian=h, kappa=params.kappa,
                         gamma_down=params.gamma_m * (params.nbar_m + 1.0),
-                        gamma_up=params.gamma_m * params.nbar_m)
+                        gamma_up=params.gamma_m * params.nbar_m, omega_c=omega_c)
 
 
 def vacuum_density(spec):
@@ -72,11 +74,14 @@ class _BlockGenerator:
     maps a block only onto its neighbours, so
 
         d rho^{m mp}/dt = G_m rho^{m mp} + rho^{m mp} G_mp^+ + rest(m, mp)
+                          - i omega_c (m - mp) rho^{m mp}
 
-    with the sector drifts G_m = -i H_mm - kappa m/2 - (gamma_down b+b +
-    gamma_up b b+)/2, and ``rest`` the drive couplings H_{m,m+-1}, the photon
-    feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1} and the mechanical jumps
-    gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
+    with the sector drifts G_m = -i (H_mm - omega_c m) - kappa m/2 -
+    (gamma_down b+b + gamma_up b b+)/2, and ``rest`` the drive couplings
+    H_{m,m+-1}, the photon feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1}
+    and the mechanical jumps gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
+    The frame's omega_c a+a commutes with all else: ``apply`` leaves its rate
+    ``frame_rate`` out, and ``evolve`` applies its flow in closed form.
     """
 
     def __init__(self, ls):
@@ -86,7 +91,9 @@ class _BlockGenerator:
         self.b = b = destroy(spec.n_mech)
         damp = 0.5 * (ls.gamma_down * (b.conj().T @ b) + ls.gamma_up * (b @ b.conj().T))
         eye = np.eye(spec.n_mech)
-        self.drift = [-1j * h[m, :, m, :] - 0.5 * ls.kappa * m * eye - damp
+        w = ls.omega_c * np.arange(spec.n_cav)
+        self.frame_rate = -1j * (w[:, None, None, None] - w[None, None, :, None])
+        self.drift = [-1j * (h[m, :, m, :] - w[m] * eye) - 0.5 * ls.kappa * m * eye - damp
                       for m in range(spec.n_cav)]
         self.drift_dag = [g.conj().T for g in self.drift]
         self.up = [h[m, :, m + 1, :] for m in range(spec.n_cav - 1)]  # H_{m,m+1}
@@ -116,7 +123,7 @@ class _BlockGenerator:
         return r
 
     def apply(self, rho):
-        """d rho/dt of a full matrix, every block evaluated on its own."""
+        """d rho/dt of a full matrix without the frame rate, each block on its own."""
         v = self.spec.blocks(rho)
         out = np.empty(rho.shape, dtype=complex)
         o = self.spec.blocks(out)
@@ -157,15 +164,17 @@ def apply_liouvillian(ls, rho):
     h = ls.hamiltonian
     if r.shape != h.shape:
         raise ValueError(f"density matrix shape {r.shape} != Hamiltonian {h.shape}")
-    return _BlockGenerator(ls).apply(r)
+    gen = _BlockGenerator(ls)
+    return gen.apply(r) + (gen.frame_rate * ls.spec.blocks(r)).reshape(r.shape)
 
 
 def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     """Integrate the master equation over t_grid with an adaptive embedded
     Runge-Kutta 4/5 pair.
 
-    The raw integrator state is never renormalized; the returned matrices are
-    symmetrized and trace-normalized for reporting.
+    The integrator runs without the frame's omega_c a+a term, whose phase
+    each reported state gets back exactly. The raw integrator state is never
+    renormalized; the returned matrices are symmetrized and trace-normalized.
     """
     d = ls.spec.dim
     r0 = _as_matrix(rho0).astype(complex)
@@ -191,6 +200,8 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
             raise StepSizeUnderflow(
                 f"hermiticity drift {drift:.2e} at t={t_grid[k]}; tolerances too loose"
             )
+        phase = np.exp(gen.frame_rate * (t_grid[k] - t_grid[0]))
+        r = (ls.spec.blocks(r) * phase).reshape(d, d)
         r = 0.5 * (r + r.conj().T)
         states.append(DensityMatrix(ls.spec, r / np.trace(r).real))
     return states
@@ -259,16 +270,16 @@ def _steady_ladder(ls, max_sweeps=200):
 
     Needs mechanical damping (the vacuum-block dissipator must have a unique
     fixed point) and a drive weaker than the cavity linewidth (contraction of
-    the hierarchy); returns None otherwise, and when the Gauss-Seidel
-    sweeps have not settled within ``max_sweeps``.
+    the hierarchy). Returns (state, None), or (None, the reason) when these
+    fail or the Gauss-Seidel sweeps have not settled within ``max_sweeps``.
     """
     spec = ls.spec
     nc, nm = spec.n_cav, spec.n_mech
     if ls.gamma_down <= 0.0:
-        return None
+        return None, "no mechanical damping"
     gen = _BlockGenerator(ls)
     if max(np.abs(u).max() for u in gen.up) > 0.5 * ls.kappa * nc:
-        return None  # hierarchy not contracting at this drive strength
+        return None, "drive too strong for the contraction test"
 
     eig = []
     for g in gen.drift:
@@ -312,9 +323,9 @@ def _steady_ladder(ls, max_sweeps=200):
         if delta <= 1e-15 * max(scale, 1.0):
             break
     else:
-        return None  # the hierarchy iteration has not settled
+        return None, f"not settled after {max_sweeps} sweeps"
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(spec, rho / np.trace(rho).real)
+    return DensityMatrix(spec, rho / np.trace(rho).real), None
 
 
 def steady_state(ls, method="evolve", t_max=None):
@@ -325,9 +336,9 @@ def steady_state(ls, method="evolve", t_max=None):
     populations sit far below the roundoff floor of any global solve. When
     its preconditions fail (no mechanical damping, a drive too strong for
     the hierarchy to contract), its iteration does not settle or its
-    residual exceeds 1e-9, it falls back to ``"direct"``. Without drive
-    and thermal phonons the vacuum is dark and is returned as the exact
-    fixed point.
+    residual exceeds 1e-9, it warns ``SolverFallback`` with the reason and
+    falls back to ``"direct"``. Without drive and thermal phonons the vacuum
+    is dark and is returned as the exact fixed point.
 
     ``"direct"`` solves the vectorized Liouvillian null space with a trace
     constraint: the general solver for any regime with a unique steady state.
@@ -347,9 +358,12 @@ def steady_state(ls, method="evolve", t_max=None):
         drive_free = np.abs(ls.hamiltonian[0, 1:]).max() == 0.0
         if drive_free and ls.gamma_up == 0.0:
             return vacuum_density(ls.spec)  # vacuum is dark: exact fixed point
-        rho = _steady_ladder(ls)
-        if rho is not None and np.abs(apply_liouvillian(ls, rho)).max() < 1e-9:
+        rho, reason = _steady_ladder(ls)
+        resid = np.inf if rho is None else np.abs(apply_liouvillian(ls, rho)).max()
+        if resid < 1e-9:
             return rho
+        reason = reason or f"residual {resid:.2e} above 1e-9"
+        warnings.warn(f"ladder falls back to direct: {reason}", SolverFallback, stacklevel=2)
         return _steady_direct(ls)
     raise ValueError(f"unknown steady-state method {method!r}")
 

@@ -138,10 +138,8 @@ class TestClosedEvolution:
 class TestConditioning:
     @pytest.fixture(scope="class")
     def closed_run(self):
-        # omega_c only drives a fast global phase; a small value keeps the
-        # integrator cheap while still exercising the phase bookkeeping
         spec = HilbertSpec(2, 60)
-        p = CAT.replace(kappa=0.0, gamma_m=0.0, omega_c=5.0)
+        p = CAT.replace(kappa=0.0, gamma_m=0.0)
         ls = make_lindblad(p, spec, frame="lab")
         t_grid = np.linspace(0.0, 2.0 * T_S, 9)
         states = evolve(ls, catstate.initial_superposition_density(spec), t_grid,
@@ -178,7 +176,7 @@ class TestConditioning:
 
     def test_fidelity_closed_form_equals_direct_contraction(self):
         spec = HilbertSpec(2, 60)
-        p = CAT.replace(kappa=0.05, gamma_m=0.01, omega_c=5.0)
+        p = CAT.replace(kappa=0.05, gamma_m=0.01)
         ls = make_lindblad(p, spec, frame="lab")
         dm = evolve(ls, catstate.initial_superposition_density(spec), np.array([0.0, T_S]))[-1]
         for cond in catstate.condition_open_system(dm, T_S):
@@ -192,7 +190,7 @@ class TestConditioning:
         spec = HilbertSpec(2, 60)
         fids = []
         for kappa in (0.01, 0.1):
-            p = CAT.replace(kappa=kappa, gamma_m=0.01, omega_c=5.0)
+            p = CAT.replace(kappa=kappa, gamma_m=0.01)
             ls = make_lindblad(p, spec, frame="lab")
             dm = evolve(ls, catstate.initial_superposition_density(spec),
                         np.array([0.0, T_S]))[-1]

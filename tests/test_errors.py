@@ -13,6 +13,7 @@ BUILTIN_BASE = {
     "DegenerateCat": ArithmeticError,
     "DegenerateBranch": ArithmeticError,
     "TruncationLoss": RuntimeError,
+    "SolverFallback": RuntimeWarning,
 }
 
 

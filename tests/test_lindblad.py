@@ -1,13 +1,16 @@
 """Master-equation machinery: generator structure, integration quality,
 steady-state solvers (all three methods against each other), observables."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from ckom.model import SystemParams
-from ckom.operators import HilbertSpec, build_h_driven, build_mode_operators, expm
+from ckom.operators import (HilbertSpec, build_h_driven, build_mode_operators, expm,
+                            propagator_factored)
 from ckom import lindblad
 from ckom.lindblad import (
     DensityMatrix,
@@ -18,13 +21,27 @@ from ckom.lindblad import (
     steady_state,
     vacuum_density,
 )
-from ckom.errors import NonConvergence, ZeroPhotonNumber
+from ckom.errors import NonConvergence, SolverFallback, ZeroPhotonNumber
 
 
 def fock_density(spec, m, n):
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho[spec.index(m, n), spec.index(m, n)] = 1.0
     return DensityMatrix(spec, rho)
+
+
+def full_space_liouvillian(ls):
+    """Dense vectorized Liouvillian (row-major vec, no trace row) of
+    -i[H, .] + kappa D[a] + gamma_down D[b] + gamma_up D[b+], built from the
+    full-space mode operators, independently of the block form."""
+    ops = build_mode_operators(ls.spec)
+    eye = np.eye(ls.spec.dim)
+    h = ls.hamiltonian
+    liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for o, rate in ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up)):
+        oo = o.conj().T @ o
+        liou += rate * (np.kron(o, o.conj()) - 0.5 * np.kron(oo, eye) - 0.5 * np.kron(eye, oo.T))
+    return liou
 
 
 class TestLiouvillian:
@@ -147,6 +164,51 @@ class TestEvolve:
             assert np.abs(dm.rho - dm.rho.conj().T).max() < 1e-10
             assert sla.eigvalsh(dm.rho).min() >= -1e-8
 
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(
+        n_cav=st.integers(2, 3),
+        n_mech=st.integers(8, 10),
+        omega_c=st.floats(0.0, 1000.0),
+        g0=st.floats(0.0, 1.2),
+        g_ck=st.floats(0.0, 0.3),
+        kappa=st.floats(0.01, 0.5),
+        gamma_m=st.floats(1e-3, 0.1),
+        nbar_m=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lab_frame_matches_liouvillian_exponential(self, n_cav, n_mech, seed, **physics):
+        # evolve integrates without omega_c a+a and puts its phase back per
+        # block; the reference is expm(L t) vec(rho0) of the full-space
+        # Liouvillian, omega_c included, at three times up to t_s
+        spec = HilbertSpec(n_cav, n_mech)
+        p = SystemParams(**physics)
+        ls = make_lindblad(p, spec, frame="lab")
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+        rho0 = x @ x.conj().T
+        rho0 /= np.trace(rho0).real
+        t_grid = np.pi / (1.0 - p.g_ck) * np.arange(4) / 3.0
+        states = evolve(ls, rho0, t_grid)
+        step = sla.expm(full_space_liouvillian(ls) * t_grid[1])
+        want = rho0.ravel()
+        for dm in states[1:]:
+            want = step @ want
+            assert np.abs(dm.rho.ravel() - want).max() < 1e-8
+
+    def test_closed_lab_frame_matches_factored_propagator(self):
+        # omega_c = 100 puts a fast e^{-i omega_c t} on the cavity coherence;
+        # the factored propagator is exact, so U rho0 U+ is the reference
+        spec = HilbertSpec(2, 60)
+        p = SystemParams(g0=1.2, g_ck=0.3, omega_c=100.0, kappa=0.0, gamma_m=0.0)
+        rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+        cat = [spec.index(0, 0), spec.index(1, 0)]
+        rho0[np.ix_(cat, cat)] = 0.5
+        t_grid = np.pi / 0.7 * np.array([0.0, 0.25, 0.6, 1.0])
+        states = evolve(make_lindblad(p, spec, frame="lab"), rho0, t_grid)
+        for t, dm in zip(t_grid[1:], states[1:]):
+            u = propagator_factored(t, p, spec)
+            assert np.abs(dm.rho - u @ rho0 @ u.conj().T).max() < 1e-7
+
 
 class TestSteadyState:
     def test_vacuum_without_drive(self):
@@ -220,14 +282,24 @@ class TestSteadyState:
     def test_ladder_unsettled_iteration_is_not_returned(self):
         # mechanical damping comparable to kappa: the block iteration is still
         # 6e-12 off after its 200 sweeps, above the agreement the property
-        # test above asks for; steady_state must not return that state
+        # test above asks for; steady_state must not return that state, and
+        # must say why it fell back
         spec = HilbertSpec(3, 12)
         p = SystemParams(g0=0.634, g_ck=0.228, kappa=0.0814, gamma_m=0.0962,
                          nbar_m=0.958, drive_amp=0.00417, delta_c=-0.652)
         ls = make_lindblad(p, spec, frame="rotating")
-        ladder = steady_state(ls, method="ladder")
+        with pytest.warns(SolverFallback, match="not settled after 200 sweeps"):
+            ladder = steady_state(ls, method="ladder")
         direct = steady_state(ls, method="direct")
         assert np.abs(ladder.rho - direct.rho).max() < 1e-12
+
+    def test_strong_drive_fallback_is_named(self):
+        spec = HilbertSpec(3, 6)
+        p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=0.2)
+        ls = make_lindblad(p, spec, frame="rotating")
+        with pytest.warns(SolverFallback, match="drive too strong"):
+            rho = steady_state(ls, method="ladder")
+        assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
 
     def test_unknown_method(self):
         ls = make_lindblad(SystemParams(kappa=0.1, gamma_m=0.01), HilbertSpec(2, 4))
@@ -312,7 +384,9 @@ class TestObservables:
         p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001,
                          drive_amp=0.001, delta_c=0.594)
         ls = make_lindblad(p, spec, frame="rotating")
-        numeric = observables(steady_state(ls, method="ladder"))["g2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SolverFallback)  # the ladder itself solves it
+            numeric = observables(steady_state(ls, method="ladder"))["g2"]
         analytic = photon_stats_exact(p, spec).g2
         assert numeric < 1.0
         assert max(numeric / analytic, analytic / numeric) < 1.5
