@@ -3,7 +3,8 @@
 Every command reads a flat JSON config (``--config``), applies flag
 overrides, echoes the fully resolved configuration as a comment block at the
 top of each CSV, and writes deterministic output (no randomness, no clocks).
-The commands, their defaults and their flags are one table, ``COMMANDS``.
+The commands are one table, ``COMMANDS``: each command's defaults list the
+config keys it reads, and its flags are built from them.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
 failure.
@@ -28,74 +29,82 @@ from .errors import DegenerateBranch, DegenerateCat, NumericalError
 
 _NUMERICAL_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
-BLOCKADE_DEFAULTS = {
-    "g0": 0.7,
-    "g_ck": 0.175,
+# Each command's defaults hold exactly the config keys it reads: one flag per
+# key, typed by the default value, and the CSV echoes nothing it ignored.
+_BLOCKADE_PHYSICS = {
     "kappa": 0.1,
     "gamma_m": 0.001,
     "nbar_m": 0.0,
-    "delta_c": 0.594,
     "drive_amp": 0.001,
-    "omega_c": 100.0,
     "omega_m": 1.0,
     "n_cav": 4,
     "n_mech": 30,
-    "detuning_min": -4.0,
-    "detuning_max": 2.0,
-    "detuning_step": 0.005,
-    "g0_min": 0.05,
-    "g0_max": 1.3,
-    "g0_steps": 126,
-    "gck_min": 0.0,
-    "gck_max": 0.4,
-    "gck_steps": 81,
+}
+
+# every detuning point sets delta_c; the rotating frame never reads omega_c
+SWEEP_DEFAULTS = {
+    "g0": 0.7,
+    "g_ck": 0.175,
+    **_BLOCKADE_PHYSICS,
+    "detuning_min": -4.0, "detuning_max": 2.0, "detuning_step": 0.005,
+}
+
+# the axes set g0 and g_ck, and each point's delta_c is delta_1
+MAP_DEFAULTS = {
+    **_BLOCKADE_PHYSICS,
+    "g0_min": 0.05, "g0_max": 1.3, "g0_steps": 126,
+    "gck_min": 0.0, "gck_max": 0.4, "gck_steps": 81,
     "locus_n_max": 6,
 }
 
+# verify checks the closed cat system; the cat commands add its dissipation
+# and cutoffs, and run in the undriven lab frame (no delta_c or drive_amp)
+VERIFY_DEFAULTS = {"g0": 1.2, "g_ck": 0.3, "omega_c": 100.0, "omega_m": 1.0}
+
 _CAT_COMMON = {
-    "g0": 1.2,
-    "g_ck": 0.3,
+    **VERIFY_DEFAULTS,
     "kappa": 0.1,
     "gamma_m": 0.01,
     "nbar_m": 0.0,
-    "delta_c": 0.0,
-    "drive_amp": 0.0,
-    "omega_c": 100.0,
-    "omega_m": 1.0,
     "n_cav": 2,
     "n_mech": 60,
     "time": None,
 }
 
-# each CSV-writing command's defaults hold only the keys it reads, so the
-# echo of the resolved config lists nothing it ignored
 CAT_DEFAULTS = {**_CAT_COMMON, "t_max": None, "t_steps": 201}
 
 WIGNER_DEFAULTS = {
     **_CAT_COMMON,
     "omega_c": 1000.0,
-    "re_min": -2.0,
-    "re_max": 5.0,
-    "n_re": 141,
-    "im_min": -3.5,
-    "im_max": 3.5,
-    "n_im": 141,
+    "re_min": -2.0, "re_max": 5.0, "n_re": 141,
+    "im_min": -3.5, "im_max": 3.5, "n_im": 141,
 }
 
 QUADRATURE_DEFAULTS = {
     **_CAT_COMMON,
     "omega_c": 1000.0,
-    "x_min": -4.0,
-    "x_max": 7.0,
-    "n_x": 551,
+    "x_min": -4.0, "x_max": 7.0, "n_x": 551,
     "theta": "auto",
 }
 
 _PARAM_KEYS = tuple(field.name for field in dataclasses.fields(SystemParams))
-# config keys whose flags take integers; every other config flag takes a float
-_INT_KEYS = {"n_cav", "n_mech", "g0_steps", "gck_steps", "locus_n_max", "t_steps",
-             "n_re", "n_im", "n_x"}
-_DETUNING_KEYS = ("detuning_min", "detuning_max", "detuning_step")
+
+
+def _number_or_auto(text):
+    return text if text == "auto" else float(text)
+
+
+def _key_type(default):
+    """Type of a config key's flag: int for integer defaults, a number or
+    "auto" for "auto", float otherwise (None included)."""
+    if isinstance(default, int):
+        return int
+    return _number_or_auto if default == "auto" else float
+
+
+def _usage_error(message):
+    print(f"ckom: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,12 +132,21 @@ def write_csv(path, config, header, rows):
 
 
 def resolve_config(defaults, args):
+    """Defaults, overridden by the --config file, overridden by flags. A file
+    value of a defaults key is converted as its flag's text would be (null
+    only where the default is None); other file keys pass through unread,
+    but echoed."""
     config = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as handle:
             config.update(json.load(handle))
-    for key in config:
-        flag = getattr(args, key, None)
+    for key, default in defaults.items():
+        if config[key] is not None or default is not None:
+            try:
+                config[key] = _key_type(default)(str(config[key]))
+            except ValueError as exc:
+                _usage_error(f"config key {key}: {exc}")
+        flag = getattr(args, key)
         if flag is not None:
             config[key] = flag
     return config
@@ -136,8 +154,7 @@ def resolve_config(defaults, args):
 
 def _axis(config, name, count):
     """Sample axis from the config keys <name>_min, <name>_max and count."""
-    return np.linspace(float(config[f"{name}_min"]), float(config[f"{name}_max"]),
-                       int(config[count]))
+    return np.linspace(config[f"{name}_min"], config[f"{name}_max"], config[count])
 
 
 def _pool_map(worker, tasks, jobs):
@@ -152,19 +169,24 @@ def _failure(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _steady_g2(params, n_cav, n_mech, method):
-    """(g2, error) of the driven steady state at one parameter point;
-    NaN-and-continue on failure."""
+def _attempt(func, *args, failed=np.nan):
+    """(func(*args), "") or, on a numerical failure, (failed, the error):
+    one point of a sweep fails without stopping the others."""
     try:
-        ls = make_lindblad(params, HilbertSpec(n_cav=n_cav, n_mech=n_mech), frame="rotating")
-        return observables(steady_state(ls, method=method))["g2"], ""
+        return func(*args), ""
     except _NUMERICAL_ERRORS as exc:
-        return np.nan, _failure(exc)
+        return failed, _failure(exc)
+
+
+def _steady_g2(params, n_cav, n_mech, method):
+    """g2 of the driven steady state at one parameter point."""
+    ls = make_lindblad(params, HilbertSpec(n_cav=n_cav, n_mech=n_mech), frame="rotating")
+    return observables(steady_state(ls, method=method))["g2"]
 
 
 def _g2_numeric_task(task):
-    """Steady-state g2 at one detuning; task = (params, n_cav, n_mech, method)."""
-    return _steady_g2(*task)
+    """(g2, error) at one detuning; task = (params, n_cav, n_mech, method)."""
+    return _attempt(_steady_g2, *task)
 
 
 def g2_numeric_sweep(params, n_cav, n_mech, detunings, jobs=1):
@@ -176,14 +198,8 @@ def g2_numeric_sweep(params, n_cav, n_mech, detunings, jobs=1):
 
 
 def g2_analytic_sweep(params, spec, detunings):
-    out = []
-    for dc in detunings:
-        try:
-            stats = blockade.photon_stats_exact(params.replace(delta_c=float(dc)), spec)
-            out.append((stats, ""))
-        except _NUMERICAL_ERRORS as exc:
-            out.append((None, _failure(exc)))
-    return out
+    return [_attempt(blockade.photon_stats_exact, params.replace(delta_c=float(dc)), spec,
+                     failed=None) for dc in detunings]
 
 
 def local_extrema(x, y, kind):
@@ -209,12 +225,11 @@ def _detuning_sweep(args, config, params, spec, numeric):
     The grid must step from detuning_min to detuning_max in whole steps;
     anything else is a usage error (exit 1), not a silently rescaled step.
     """
-    lo, hi, step = (float(config[key]) for key in _DETUNING_KEYS)
+    lo, hi, step = (config[f"detuning_{key}"] for key in ("min", "max", "step"))
     steps = (hi - lo) / step
     if abs(steps - round(steps)) > 1e-9:
-        print(f"ckom: error: detuning_step = {step:g} does not divide "
-              f"detuning_max - detuning_min = {hi:g} - {lo:g}", file=sys.stderr)
-        raise SystemExit(1)
+        _usage_error(f"detuning_step = {step:g} does not divide "
+                     f"detuning_max - detuning_min = {hi:g} - {lo:g}")
     detunings = np.linspace(lo, hi, int(round(steps)) + 1)
     config["numeric"] = numeric
     analytic = g2_analytic_sweep(params, spec, detunings)
@@ -257,11 +272,9 @@ def cmd_blockade_sweep(args, config, params, spec):
     rows = []
     for i, dc in enumerate(detunings):
         stats, err = analytic[i]
-        try:
-            g2_ld = blockade.photon_stats_lamb_dicke(params.replace(delta_c=float(dc))).g2
-        except _NUMERICAL_ERRORS as exc:
-            g2_ld = np.nan
-            err = err or _failure(exc)
+        point = params.replace(delta_c=float(dc))
+        g2_ld, err_ld = _attempt(lambda: blockade.photon_stats_lamb_dicke(point).g2)
+        err = err or err_ld
         probs = [np.nan] * 4 if stats is None else [stats.p0, stats.p1, stats.p2, stats.g2]
         row = [dc, *probs, g2_ld]
         if numeric is not None:
@@ -277,17 +290,17 @@ def cmd_blockade_sweep(args, config, params, spec):
 
 
 def _map_task(task):
-    """g2 at the single-photon resonance of one (g0, g_ck) point;
+    """(g2, error) at the single-photon resonance of one (g0, g_ck) point;
     task = (params, n_cav, n_mech, numeric)."""
     params, n_cav, n_mech, numeric = task
-    try:
-        params = params.replace(delta_c=delta_m(1, params))
-        if not numeric:
-            spec = HilbertSpec(n_cav=n_cav, n_mech=n_mech)
-            return blockade.photon_stats_exact(params, spec).g2, ""
-    except _NUMERICAL_ERRORS as exc:
-        return np.nan, _failure(exc)
-    return _steady_g2(params, n_cav, n_mech, "ladder")
+
+    def g2():
+        point = params.replace(delta_c=delta_m(1, params))
+        if numeric:
+            return _steady_g2(point, n_cav, n_mech, "ladder")
+        return blockade.photon_stats_exact(point, HilbertSpec(n_cav=n_cav, n_mech=n_mech)).g2
+
+    return _attempt(g2)
 
 
 def cmd_blockade_map(args, config, params, spec):
@@ -304,7 +317,7 @@ def cmd_blockade_map(args, config, params, spec):
               [[*point, *result] for point, result in zip(points, results)])
 
     locus_rows = []
-    for n in range(1, int(config["locus_n_max"]) + 1):
+    for n in range(1, config["locus_n_max"] + 1):
         for gck in gck_axis:
             try:
                 locus_rows.append([n, gck, resonance_curve_g0(n, float(gck), params.omega_m)])
@@ -322,15 +335,15 @@ def _snapshot_time(config, params):
     """The config's snapshot "time", by default the detection time t_s;
     the resolved value replaces it in the config, so the CSV echoes it."""
     t = config["time"]
-    config["time"] = t = catstate.detection_time(params) if t is None else float(t)
+    config["time"] = t = catstate.detection_time(params) if t is None else t
     return t
 
 
 def cmd_cat(args, config, params, spec):
     t_max = config["t_max"]
-    t_max = 2.0 * catstate.detection_time(params) if t_max is None else float(t_max)
+    t_max = 2.0 * catstate.detection_time(params) if t_max is None else t_max
     config["t_max"] = t_max
-    t_grid = np.linspace(0.0, t_max, int(config["t_steps"]))
+    t_grid = np.linspace(0.0, t_max, config["t_steps"])
     t_snap = _snapshot_time(config, params)
     snap_path = _derived_path(args.out, "snapshot")
 
@@ -493,16 +506,15 @@ def cmd_verify(args, config, cat_params, spec):
 
 
 class Command(NamedTuple):
-    """One ``ckom`` command. Every command takes --config, --out and a flag
-    per SystemParams field and cutoff; ``flags`` holds its other options as
-    (option string, add_argument keywords) and ``keys`` its other config keys
-    settable by flag."""
+    """One ``ckom`` command. It takes --config, a flag per key of
+    ``defaults``, --out when it writes a CSV, and ``flags``, its mode options
+    as (option string, add_argument keywords)."""
 
     handler: Callable
     defaults: dict
     help: str
     flags: tuple = ()
-    keys: tuple = ()
+    writes_csv: bool = True
 
 
 _JOBS = ("--jobs", {"type": int, "default": 1, "help": "worker processes for sweeps"})
@@ -511,29 +523,24 @@ _BRANCH = ("--branch", {"choices": ["plus", "minus"], "default": "plus"})
 
 COMMANDS = {
     "table1": Command(
-        cmd_table1, BLOCKADE_DEFAULTS, "predicted vs detected resonance detunings",
+        cmd_table1, SWEEP_DEFAULTS, "predicted vs detected resonance detunings",
         (_JOBS, ("--analytic", {"action": "store_true",
-                                "help": "skip the master-equation sweep"})),
-        _DETUNING_KEYS),
+                                "help": "skip the master-equation sweep"}))),
     "blockade-sweep": Command(
-        cmd_blockade_sweep, BLOCKADE_DEFAULTS, "photon statistics vs drive detuning",
-        (_JOBS, _NUMERIC), _DETUNING_KEYS),
+        cmd_blockade_sweep, SWEEP_DEFAULTS, "photon statistics vs drive detuning",
+        (_JOBS, _NUMERIC)),
     "blockade-map": Command(
-        cmd_blockade_map, BLOCKADE_DEFAULTS, "g2 over the (g0, g_ck) plane",
-        (_JOBS, _NUMERIC),
-        ("g0_min", "g0_max", "g0_steps", "gck_min", "gck_max", "gck_steps", "locus_n_max")),
+        cmd_blockade_map, MAP_DEFAULTS, "g2 over the (g0, g_ck) plane", (_JOBS, _NUMERIC)),
     "cat": Command(
         cmd_cat, CAT_DEFAULTS, "cat-state probabilities and fidelities",
-        (("--mode", {"choices": ["closed", "open"], "default": "closed"}),),
-        ("t_max", "t_steps", "time")),
+        (("--mode", {"choices": ["closed", "open"], "default": "closed"}),)),
     "wigner": Command(
-        cmd_wigner, WIGNER_DEFAULTS, "mechanical Wigner function",
-        (_NUMERIC, _BRANCH), ("time", "re_min", "re_max", "n_re", "im_min", "im_max", "n_im")),
+        cmd_wigner, WIGNER_DEFAULTS, "mechanical Wigner function", (_NUMERIC, _BRANCH)),
     "quadrature": Command(
         cmd_quadrature, QUADRATURE_DEFAULTS, "rotated-quadrature distribution",
-        (_NUMERIC, _BRANCH, ("--theta", {"help": "rotation angle or 'auto'"})),
-        ("time", "x_min", "x_max", "n_x")),
-    "verify": Command(cmd_verify, CAT_DEFAULTS, "run the numerical self-checks"),
+        (_NUMERIC, _BRANCH)),
+    "verify": Command(cmd_verify, VERIFY_DEFAULTS, "run the numerical self-checks",
+                      writes_csv=False),
 }
 
 
@@ -543,13 +550,13 @@ def _build_parser():
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file with flat keys")
-        p.add_argument("--out", default=f"{name.replace('-', '_')}.csv",
-                       help="output CSV path")
+        if command.writes_csv:
+            p.add_argument("--out", default=f"{name.replace('-', '_')}.csv",
+                           help="output CSV path")
         for flag, options in command.flags:
             p.add_argument(flag, **options)
-        for key in _PARAM_KEYS + ("n_cav", "n_mech") + command.keys:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=int if key in _INT_KEYS else float)
+        for key, default in command.defaults.items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_key_type(default))
     return parser
 
 
@@ -558,8 +565,10 @@ def main(argv=None):
     command = COMMANDS[args.command]
     try:
         config = resolve_config(command.defaults, args)
-        params = SystemParams(**{k: float(config[k]) for k in _PARAM_KEYS})
-        spec = HilbertSpec(n_cav=int(config["n_cav"]), n_mech=int(config["n_mech"]))
+        # parameters the command does not read keep the dataclass defaults
+        params = SystemParams(**{k: config[k] for k in _PARAM_KEYS if k in command.defaults})
+        spec = (HilbertSpec(n_cav=config["n_cav"], n_mech=config["n_mech"])
+                if "n_cav" in command.defaults else None)
         return command.handler(args, config, params, spec)
     except _NUMERICAL_ERRORS as exc:
         print(f"ckom: numerical failure: {_failure(exc)}", file=sys.stderr)

@@ -41,14 +41,6 @@ class PhaseSpaceGrid:
         return float(np.trapezoid(self.values, self.x_axis))
 
 
-def default_wigner_axes():
-    return np.linspace(-2.0, 5.0, 141), np.linspace(-3.5, 3.5, 141)
-
-
-def default_quadrature_axis():
-    return np.linspace(-4.0, 7.0, 551)
-
-
 def wigner_cat_points(t, sign, params, eta):
     """Analytic cat-branch Wigner function at arbitrary complex points."""
     snap = cat_snapshot(t, params, require=sign)
@@ -62,9 +54,7 @@ def wigner_cat_points(t, sign, params, eta):
     return (2.0 * snap.norm(sign) ** 2 / np.pi) * (gauss0 + gauss1 + s * interference)
 
 
-def wigner_cat_analytic(t, sign, params, re_axis=None, im_axis=None):
-    if re_axis is None or im_axis is None:
-        re_axis, im_axis = default_wigner_axes()
+def wigner_cat_analytic(t, sign, params, re_axis, im_axis):
     eta = re_axis[:, None] + 1j * im_axis[None, :]
     vals = wigner_cat_points(t, sign, params, eta)
     return PhaseSpaceGrid(kind="wigner", values=vals, re_axis=re_axis, im_axis=im_axis)
@@ -106,9 +96,7 @@ def wigner_numeric_points(rho_b, eta):
     return vals.real.reshape(eta.shape)
 
 
-def wigner_numeric(rho_b, re_axis=None, im_axis=None):
-    if re_axis is None or im_axis is None:
-        re_axis, im_axis = default_wigner_axes()
+def wigner_numeric(rho_b, re_axis, im_axis):
     eta = re_axis[:, None] + 1j * im_axis[None, :]
     vals = wigner_numeric_points(rho_b, eta)
     return PhaseSpaceGrid(kind="wigner", values=vals, re_axis=re_axis, im_axis=im_axis)
@@ -143,12 +131,10 @@ def _coherent_levels(beta):
         n += 8
 
 
-def quadrature_dist_cat(t, sign, theta, params, x_axis=None):
+def quadrature_dist_cat(t, sign, theta, params, x_axis):
     """Distribution of the rotated quadrature X(theta) for a pure cat branch,
     N^2 |<X|0> +/- e^{i theta_cat} <X|beta>|^2, the coherent overlap summed
     until its terms fall below 1e-14."""
-    if x_axis is None:
-        x_axis = default_quadrature_axis()
     snap = cat_snapshot(t, params, require=sign)
     s = 1.0 if sign == "plus" else -1.0
     n_levels = _coherent_levels(snap.beta)
@@ -162,11 +148,9 @@ def quadrature_dist_cat(t, sign, theta, params, x_axis=None):
     return PhaseSpaceGrid(kind="quadrature", values=vals, x_axis=np.asarray(x_axis), theta=theta)
 
 
-def quadrature_dist_numeric(rho_b, theta, x_axis=None):
+def quadrature_dist_numeric(rho_b, theta, x_axis):
     """Quadrature distribution of an arbitrary mechanical density matrix via
     <X(theta)|j> = psi_j(X) e^{-i j theta} overlaps."""
-    if x_axis is None:
-        x_axis = default_quadrature_axis()
     rho_b = np.asarray(rho_b)
     _check_truncation(rho_b)
     dim = rho_b.shape[0]

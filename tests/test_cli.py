@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ckom.cli import _build_parser, local_extrema, main
+from ckom.cli import COMMANDS, _build_parser, local_extrema, main
 
 
 def read_csv(path):
@@ -230,6 +230,19 @@ class TestPhaseSpace:
         assert any("theta = " in c and "auto" not in c for c in comments)
 
 
+# (command, flag) of config keys the command never reads; none has a flag
+_UNREAD_FLAGS = (
+    [("table1", "--delta-c"), ("table1", "--omega-c"),
+     ("blockade-sweep", "--delta-c"), ("blockade-sweep", "--omega-c"),
+     ("blockade-map", "--g0"), ("blockade-map", "--g-ck"),
+     ("blockade-map", "--delta-c"), ("blockade-map", "--omega-c")]
+    + [(command, flag) for command in ("cat", "wigner", "quadrature")
+       for flag in ("--delta-c", "--drive-amp")]
+    + [("verify", flag) for flag in ("--kappa", "--gamma-m", "--nbar-m", "--delta-c",
+                                     "--drive-amp", "--n-cav", "--n-mech", "--out")]
+)
+
+
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -259,15 +272,46 @@ class TestConfigAndErrors:
             main(["blockade-sweep", "--steady-method", "ladder"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("argv", [["wigner", "--analytic"], ["quadrature", "--analytic"],
-                                      ["cat", "--jobs", "2"], ["verify", "--jobs", "2"],
-                                      ["cat", "--t-steps", "2.5"]])
+    @pytest.mark.parametrize("argv", [
+        ["wigner", "--analytic"], ["quadrature", "--analytic"],
+        ["cat", "--jobs", "2"], ["verify", "--jobs", "2"],
+        ["cat", "--t-steps", "2.5"], ["quadrature", "--theta", "abc"],
+        *([command, flag, "1"] for command, flag in _UNREAD_FLAGS)])
     def test_removed_options_and_integer_flags(self, argv):
-        # the analytic route is the default without --numeric, and only the
-        # sweeping commands take --jobs; count flags take integers
+        # the analytic route is the default without --numeric, only the
+        # sweeping commands take --jobs, no command has a flag for a key it
+        # does not read; count flags take integers, --theta a number or auto
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("config, key", [({"t_steps": 3.7}, "t_steps"),
+                                             ({"n_mech": "abc"}, "n_mech"),
+                                             ({"kappa": None}, "kappa")])
+    def test_config_values_are_typed_like_their_flags(self, config, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "cat.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["cat", "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == 1
+        assert f"config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_config_keys_are_echoed_and_ignored(self, tmp_path):
+        # null keeps the resolved time and t_max; keys cat does not read
+        # (another command's, or the rate lists of --mode open) pass through
+        unread = {"delta_c": 3.0, "drive_amp": 1.0, "n_re": "x", "kappa_list": [0.1, 0.2]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"time": None, "t_max": None, "t_steps": 5, **unread}))
+        out_cfg, out_flags = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["cat", "--config", str(cfg), "--out", str(out_cfg)]) == 0
+        assert main(["cat", "--t-steps", "5", "--out", str(out_flags)]) == 0
+        comments, header, rows = read_csv(out_cfg)
+        for key, value in unread.items():
+            assert f"# {key} = {value}" in comments
+        assert (header, rows) == read_csv(out_flags)[1:]
+        assert len(rows) == 5
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # cat run with a cutoff far too small for the displacement
@@ -285,34 +329,53 @@ class TestVerify:
         assert "FAIL" not in out
 
 
-_COMMON_OPTIONS = {
-    "--config", "--out", "--g0", "--g-ck", "--kappa", "--gamma-m", "--nbar-m",
-    "--delta-c", "--drive-amp", "--omega-c", "--omega-m", "--n-cav", "--n-mech",
-}
+_COMMON_OPTIONS = {"--config"}
+_VERIFY_OPTIONS = {"--g0", "--g-ck", "--omega-c", "--omega-m"}
+_BLOCKADE_OPTIONS = {"--out", "--jobs", "--kappa", "--gamma-m", "--nbar-m", "--drive-amp",
+                     "--omega-m", "--n-cav", "--n-mech"}
+_SWEEP_OPTIONS = _BLOCKADE_OPTIONS | {"--g0", "--g-ck", "--detuning-min", "--detuning-max",
+                                      "--detuning-step"}
+_CAT_OPTIONS = _VERIFY_OPTIONS | {"--out", "--kappa", "--gamma-m", "--nbar-m", "--n-cav",
+                                  "--n-mech", "--time"}
 _COMMAND_OPTIONS = {
-    "table1": {"--jobs", "--analytic", "--detuning-min", "--detuning-max",
-               "--detuning-step"},
-    "blockade-sweep": {"--jobs", "--numeric", "--detuning-min", "--detuning-max",
-                       "--detuning-step"},
-    "blockade-map": {"--jobs", "--numeric", "--g0-min", "--g0-max", "--g0-steps",
-                     "--gck-min", "--gck-max", "--gck-steps", "--locus-n-max"},
-    "cat": {"--mode", "--t-max", "--t-steps", "--time"},
-    "wigner": {"--numeric", "--branch", "--time", "--re-min", "--re-max", "--n-re",
-               "--im-min", "--im-max", "--n-im"},
-    "quadrature": {"--numeric", "--branch", "--theta", "--time", "--x-min", "--x-max",
-                   "--n-x"},
-    "verify": set(),
+    "table1": _SWEEP_OPTIONS | {"--analytic"},
+    "blockade-sweep": _SWEEP_OPTIONS | {"--numeric"},
+    "blockade-map": _BLOCKADE_OPTIONS | {"--numeric", "--g0-min", "--g0-max", "--g0-steps",
+                                         "--gck-min", "--gck-max", "--gck-steps",
+                                         "--locus-n-max"},
+    "cat": _CAT_OPTIONS | {"--mode", "--t-max", "--t-steps"},
+    "wigner": _CAT_OPTIONS | {"--numeric", "--branch", "--re-min", "--re-max", "--n-re",
+                              "--im-min", "--im-max", "--n-im"},
+    "quadrature": _CAT_OPTIONS | {"--numeric", "--branch", "--theta", "--x-min", "--x-max",
+                                  "--n-x"},
+    "verify": _VERIFY_OPTIONS,
 }
+
+
+def _subparsers():
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestOptions:
     def test_option_strings_of_every_command(self):
-        sub = next(a for a in _build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(_COMMAND_OPTIONS)
+        sub = _subparsers()
+        assert set(sub) == set(_COMMAND_OPTIONS)
         n_flags = 0
-        for name, parser in sub.choices.items():
+        for name, parser in sub.items():
             options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
             assert options == _COMMON_OPTIONS | _COMMAND_OPTIONS[name], name
             n_flags += len(options)
-        assert n_flags == 130
+        assert n_flags == 108
+
+    def test_value_flags_are_the_defaults_keys(self):
+        # one flag per key a command reads, an integer flag for an integer
+        # default; --config, --out and the mode flags set no config key
+        for name, parser in _subparsers().items():
+            command = COMMANDS[name]
+            other = {"-h", "--config", "--out"} | {flag for flag, _ in command.flags}
+            keyed = {a.dest: a for a in parser._actions if a.option_strings[0] not in other}
+            assert set(keyed) == set(command.defaults), name
+            for key, default in command.defaults.items():
+                assert keyed[key].option_strings == [f"--{key.replace('_', '-')}"]
+                assert (keyed[key].type is int) == isinstance(default, int), key
