@@ -226,6 +226,10 @@ def _detuning_sweep(args, config, params, spec, numeric):
     anything else is a usage error (exit 1), not a silently rescaled step.
     """
     lo, hi, step = (config[f"detuning_{key}"] for key in ("min", "max", "step"))
+    if step <= 0:
+        _usage_error(f"detuning_step = {step:g} must be positive")
+    if hi < lo:
+        _usage_error(f"detuning_max = {hi:g} is below detuning_min = {lo:g}")
     steps = (hi - lo) / step
     if abs(steps - round(steps)) > 1e-9:
         _usage_error(f"detuning_step = {step:g} does not divide "
@@ -565,10 +569,13 @@ def main(argv=None):
     command = COMMANDS[args.command]
     try:
         config = resolve_config(command.defaults, args)
-        # parameters the command does not read keep the dataclass defaults
-        params = SystemParams(**{k: config[k] for k in _PARAM_KEYS if k in command.defaults})
-        spec = (HilbertSpec(n_cav=config["n_cav"], n_mech=config["n_mech"])
-                if "n_cav" in command.defaults else None)
+        try:
+            # parameters the command does not read keep the dataclass defaults
+            params = SystemParams(**{k: config[k] for k in _PARAM_KEYS if k in command.defaults})
+            spec = (HilbertSpec(n_cav=config["n_cav"], n_mech=config["n_mech"])
+                    if "n_cav" in command.defaults else None)
+        except ValueError as exc:
+            _usage_error(str(exc))
         return command.handler(args, config, params, spec)
     except _NUMERICAL_ERRORS as exc:
         print(f"ckom: numerical failure: {_failure(exc)}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .catstate import cat_snapshot, coherent_coefficients
-from .specfun import displacement_matrix
+from .specfun import laguerre_rows, log_factorial
 from .errors import TruncationLoss
 
 _TERM_FLOOR = 1e-14
@@ -73,20 +73,35 @@ def wigner_numeric_points(rho_b, eta):
     W(eta) = (2/pi) sum_l (-1)^l <l| D+(eta) rho D(eta) |l>.
 
     Since the parity flips displacements, the sandwich collapses exactly to
-    (2/pi) Tr[diag((-1)^j) rho D(2 eta)]. This form costs one matrix contraction
-    per point and, unlike the literal double sum over a truncated basis, is
-    free of truncation error whenever the state itself fits inside the cutoff.
+    (2/pi) Tr[diag((-1)^j) rho D(2 eta)], free of truncation error whenever
+    the state fits inside the cutoff. With x = 2 eta, the elements of D(x)
+    split the trace into one sum per diagonal d of rho,
+        e^{-|x|^2/2} sum_j (-1)^j sqrt(j!/(j+d)!) L_j^d(|x|^2)
+                     [x^d rho_{j,j+d} + x*^d rho_{j+d,j}],
+    each with one Laguerre recurrence over all points at once. Both sides of
+    each diagonal are summed, so a non-Hermitian rho shows as an imaginary part.
     """
     rho_b = np.asarray(rho_b)
     _check_truncation(rho_b)
     dim = rho_b.shape[0]
-    weighted = ((-1.0) ** np.arange(dim))[:, None] * rho_b
     eta = np.asarray(eta, dtype=complex)
-    flat = eta.ravel()
-    vals = np.empty(flat.size, dtype=complex)
-    for i, point in enumerate(flat):
-        disp2 = displacement_matrix(2.0 * point, dim)
-        vals[i] = (2.0 / np.pi) * np.einsum("jl,lj->", weighted, disp2)
+    x = 2.0 * eta.ravel()
+    r2 = np.abs(x) ** 2
+    lf = log_factorial(np.arange(dim))
+    signs = (-1.0) ** np.arange(dim)
+    vals = np.zeros(x.size, dtype=complex)
+    x_pow = np.exp(-0.5 * r2).astype(complex)  # x^d e^{-|x|^2/2}
+    for d in range(dim):
+        weight = signs[: dim - d] * np.exp(0.5 * (lf[: dim - d] - lf[d:]))
+        coef = weight * np.array([np.diagonal(rho_b, d), np.diagonal(rho_b, -d)])
+        sums = np.zeros((2, x.size), dtype=complex)
+        for j, lag in enumerate(laguerre_rows(d, r2, dim - d)):
+            sums += coef[:, j, None] * lag
+        vals += x_pow * sums[0]
+        if d:
+            vals += x_pow.conj() * sums[1]
+        x_pow *= x
+    vals *= 2.0 / np.pi
     worst_imag = float(np.abs(vals.imag).max())
     if worst_imag > 1e-8:
         raise TruncationLoss(

@@ -14,6 +14,19 @@ def log_factorial(n):
     return gammaln(np.asarray(n) + 1.0)
 
 
+def laguerre_rows(k, r2, n):
+    """Yield L_j^k(r2) for j = 0 .. n-1 by the forward three-term recurrence,
+    broadcast over the order k and the argument r2."""
+    prev = np.ones(np.broadcast(k, r2).shape)
+    yield prev
+    if n > 1:
+        cur = 1.0 + k - r2
+        yield cur
+        for j in range(1, n - 1):
+            prev, cur = cur, ((2 * j + 1 + k - r2) * cur - (j + k) * prev) / (j + 1)
+            yield cur
+
+
 def displacement_matrix(x, dim):
     """Matrix [<n|D(x)|l>] for n, l < dim, vectorized over the whole table."""
     x = complex(x)
@@ -21,13 +34,7 @@ def displacement_matrix(x, dim):
         return np.eye(dim, dtype=complex)
     r2 = abs(x) ** 2
     # Laguerre table lag[j, k] = L_j^k(r2), recurrence in j for all k at once
-    ks = np.arange(dim, dtype=float)
-    lag = np.empty((dim, dim))
-    lag[0] = 1.0
-    if dim > 1:
-        lag[1] = 1.0 + ks - r2
-        for j in range(1, dim - 1):
-            lag[j + 1] = ((2 * j + 1 + ks - r2) * lag[j] - (j + ks) * lag[j - 1]) / (j + 1)
+    lag = np.array(list(laguerre_rows(np.arange(dim, dtype=float), r2, dim)))
 
     lf = log_factorial(np.arange(dim))
     n_idx, l_idx = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")

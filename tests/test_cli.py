@@ -129,6 +129,20 @@ class TestBlockadeSweep:
             assert key in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--detuning-step", "0"], "detuning_step = 0 must be positive"),
+        (["--detuning-step", "-0.5"], "detuning_step = -0.5 must be positive"),
+        (["--detuning-min", "1", "--detuning-max", "-1"], "detuning_max = -1 is below")])
+    def test_step_must_be_positive_and_range_ordered(self, flags, message, tmp_path, capsys):
+        # a zero step used to end in ZeroDivisionError, a reversed range in
+        # numpy's ValueError for a negative sample count
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["table1", "--analytic", *flags, "--out", str(out)])
+        assert err.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_and_continue(self, tmp_path):
         # g_ck beyond omega_m/m_max: every point fails but the run completes
         out = tmp_path / "sweep.csv"
@@ -284,6 +298,21 @@ class TestConfigAndErrors:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--omega-m", "0"], "omega_m must be positive"),
+        (["cat", "--kappa", "-1"], "kappa must be non-negative"),
+        (["wigner", "--nbar-m", "-0.1"], "nbar_m must be non-negative"),
+        (["quadrature", "--n-mech", "1"], "need at least two levels per mode")])
+    def test_out_of_range_parameters_are_usage_errors(self, argv, message, tmp_path, capsys):
+        # SystemParams and HilbertSpec reject these; that used to end in a
+        # ValueError traceback
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main(argv + (["--out", str(out)] if argv[0] != "verify" else []))
+        assert err.value.code == 1
+        assert f"ckom: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config, key", [({"t_steps": 3.7}, "t_steps"),
                                              ({"n_mech": "abc"}, "n_mech"),

@@ -4,10 +4,11 @@ normalization, bounds, and the tomographic marginal identity."""
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from ckom.model import SystemParams
 from ckom import catstate, quasiprob
-from ckom.specfun import log_factorial
+from ckom.specfun import displacement_matrix, log_factorial
 from ckom.errors import TruncationLoss
 
 CAT = SystemParams(g0=1.2, g_ck=0.3, omega_c=100.0)
@@ -107,8 +108,6 @@ class TestWignerNumeric:
         # oracle: the unreduced double sum (2/pi) sum_l (-1)^l <l|D+ rho D|l>,
         # evaluated with enough headroom above the state's support; also checks
         # the trace stays real for Hermitian input
-        from ckom.specfun import displacement_matrix
-
         vec = catstate.cat_state_vector(T_S, "minus", CAT, 60)
         dim = 140
         rho = np.zeros((dim, dim), dtype=complex)
@@ -120,6 +119,37 @@ class TestWignerNumeric:
             assert abs(val.imag) < 1e-10
             reduced = quasiprob.wigner_numeric_points(rho, np.array([eta]))[0]
             assert np.isclose(reduced, val.real, rtol=0, atol=1e-9)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(support=st.integers(1, 12), headroom=st.integers(10, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grid_form_matches_per_point_trace(self, support, headroom, seed):
+        # oracle: (2/pi) Tr[diag((-1)^j) rho D(2 eta)] one point at a time, for
+        # a random Hermitian rho well inside the cutoff, at eta = 0, on the
+        # circle |eta| = 8.5 (about the far corner of perfbench's phase-space
+        # grid) and at random points inside it
+        rng = np.random.default_rng(seed)
+        dim = support + headroom
+        a = rng.normal(size=(support, support)) + 1j * rng.normal(size=(support, support))
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[:support, :support] = (a + a.conj().T) / 2.0
+        radius = 8.5 * np.concatenate([[0.0, 1.0], np.sqrt(rng.uniform(size=30))])
+        eta = radius * np.exp(2j * np.pi * rng.uniform(size=radius.size))
+        signs = ((-1.0) ** np.arange(dim))[:, None]
+        oracle = [(2.0 / np.pi) * np.einsum("jl,lj->", signs * rho,
+                                            displacement_matrix(2.0 * point, dim)).real
+                  for point in eta]
+        grid = quasiprob.wigner_numeric_points(rho, eta)
+        assert np.abs(grid - oracle).max() < 1e-12
+
+    def test_non_hermitian_input_is_caught(self):
+        # only rho_{0,1} set: the trace picks it up through the upper side of
+        # the first diagonal, with nothing on the lower side to cancel it
+        rho = np.zeros((20, 20), dtype=complex)
+        rho[0, 0] = rho[1, 1] = 0.5
+        rho[0, 1] = 0.3
+        with pytest.raises(TruncationLoss, match="imaginary part"):
+            quasiprob.wigner_numeric(rho, np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
 
     def test_truncation_guard(self):
         rho = thermal_density(8.0, 12)  # heavy tail at a tiny cutoff
