@@ -7,6 +7,7 @@ ladder steady state use its photon-number block form (``_BlockGenerator``);
 the direct steady state builds it from the full-space operators instead.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ class _BlockGenerator:
         self.spec = spec = ls.spec
         self.kappa, self.gamma_down, self.gamma_up = ls.kappa, ls.gamma_down, ls.gamma_up
         h = spec.blocks(ls.hamiltonian)
-        self.b = b = destroy(spec.n_mech)
+        b = destroy(spec.n_mech)
         damp = 0.5 * (ls.gamma_down * (b.conj().T @ b) + ls.gamma_up * (b @ b.conj().T))
         eye = np.eye(spec.n_mech)
         w = ls.omega_c * np.arange(spec.n_cav)
@@ -256,6 +257,19 @@ def _steady_direct(ls):
     return rho
 
 
+@functools.lru_cache(maxsize=1)
+def _vacuum_lu(h00, n_mech, gamma_down, gamma_up):
+    """Read-only LU of the photon-vacuum block's constrained Liouvillian, keyed
+    by all it reads: the bytes of H_00 = omega_m b+b, n_mech and the rates."""
+    b = destroy(n_mech)
+    lu_piv = sla.lu_factor(_constrained_liouvillian(
+        np.frombuffer(h00, dtype=complex).reshape(n_mech, n_mech),
+        ((b, gamma_down), (b.conj().T, gamma_up))).toarray())
+    for arr in lu_piv:
+        arr.setflags(write=False)
+    return lu_piv
+
+
 def _steady_ladder(ls, max_sweeps=200):
     """Steady state solved block-by-block in the photon indices.
 
@@ -266,7 +280,10 @@ def _steady_ladder(ls, max_sweeps=200):
     drifts, while the rest (drive couplings, photon feed-down, mechanical
     jumps) is iterated Gauss-Seidel style to convergence. The photon-vacuum
     block, whose drift alone is singular, is solved with its mechanical
-    jumps and a trace constraint.
+    jumps and a trace constraint. Its LU is factored once per (H_00,
+    gamma_down, gamma_up) and reused (``_vacuum_lu``), so a detuning sweep or
+    a (g0, g_ck) map factors it once; the sector drifts are diagonalized per
+    solve.
 
     Needs mechanical damping (the vacuum-block dissipator must have a unique
     fixed point) and a drive weaker than the cavity linewidth (contraction of
@@ -285,10 +302,8 @@ def _steady_ladder(ls, max_sweeps=200):
     for g in gen.drift:
         lam, v = sla.eig(g)
         eig.append((lam, v, sla.inv(v)))
-    lu00 = sla.lu_factor(_constrained_liouvillian(
-        spec.blocks(ls.hamiltonian)[0, :, 0, :],
-        ((gen.b, ls.gamma_down), (gen.b.conj().T, ls.gamma_up)),
-    ).toarray())
+    h00 = spec.blocks(ls.hamiltonian)[0, :, 0, :].astype(complex)
+    lu00 = _vacuum_lu(h00.tobytes(), nm, ls.gamma_down, ls.gamma_up)
 
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho[0, 0] = 1.0

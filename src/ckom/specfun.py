@@ -33,8 +33,14 @@ def displacement_matrix(x, dim):
     if x == 0:
         return np.eye(dim, dtype=complex)
     r2 = abs(x) ** 2
-    # Laguerre table lag[j, k] = L_j^k(r2), recurrence in j for all k at once
-    lag = np.array(list(laguerre_rows(np.arange(dim, dtype=float), r2, dim)))
+    # lag[j, k] = L_j^k(r2) on the j + k < dim triangle read below; the rest overflows
+    k = np.arange(dim, dtype=float)
+    lag = np.zeros((dim, dim))
+    lag[0], lag[1:2, :-1] = 1.0, 1.0 + k[:-1] - r2
+    for j in range(1, dim - 1):
+        w = dim - j - 1
+        lag[j + 1, :w] = ((2 * j + 1 + k[:w] - r2) * lag[j, :w]
+                          - (j + k[:w]) * lag[j - 1, :w]) / (j + 1)
 
     lf = log_factorial(np.arange(dim))
     n_idx, l_idx = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")

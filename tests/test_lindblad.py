@@ -357,6 +357,64 @@ class TestSteadyState:
             steady_state(ls, method="evolve")
 
 
+def ladder_solve(spec, **physics):
+    """Ladder steady state at Table 1 rates, failing on any fallback to direct."""
+    rates = dict(kappa=0.1, gamma_m=0.001, drive_amp=0.001) | physics
+    ls = make_lindblad(SystemParams(**rates), spec, frame="rotating")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SolverFallback)
+        return ls, steady_state(ls, method="ladder").rho
+
+
+def cached_vacuum_lu(ls):
+    """The factorization the cache holds after a ladder solve of ``ls``."""
+    h00 = ls.spec.blocks(ls.hamiltonian)[0, :, 0, :].astype(complex)
+    return lindblad._vacuum_lu(h00.tobytes(), ls.spec.n_mech, ls.gamma_down, ls.gamma_up)
+
+
+class TestVacuumLuCache:
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(delta_c=st.floats(-3.0, 2.0), g0=st.floats(0.0, 1.0), g_ck=st.floats(0.0, 0.3))
+    def test_cold_and_warm_cache_agree_bit_for_bit(self, **physics):
+        spec = HilbertSpec(3, 12)
+        ladder_solve(spec, delta_c=0.37, g0=0.5, g_ck=0.1)  # warms the cache
+        _, warm = ladder_solve(spec, **physics)
+        assert lindblad._vacuum_lu.cache_info().currsize == 1
+        lindblad._vacuum_lu.cache_clear()
+        _, cold = ladder_solve(spec, **physics)
+        assert lindblad._vacuum_lu.cache_info().misses == 1
+        assert np.array_equal(cold, warm)
+
+    @pytest.mark.parametrize("grid", [
+        [dict(delta_c=d) for d in np.linspace(-1.5, 1.0, 6)],  # crosses delta_c = 0
+        [dict(g0=g0, g_ck=g_ck) for g0 in (0.05, 0.6, 1.2) for g_ck in (0.0, 0.15, 0.3)],
+    ])
+    def test_one_miss_per_sweep(self, grid):
+        lindblad._vacuum_lu.cache_clear()
+        for point in grid:
+            ladder_solve(HilbertSpec(3, 12), **point)
+        info = lindblad._vacuum_lu.cache_info()
+        assert (info.misses, info.hits) == (1, len(grid) - 1)
+
+    @pytest.mark.parametrize("n_mech,change", [
+        (12, dict(gamma_m=0.002)), (12, dict(nbar_m=0.3)), (12, dict(omega_m=1.1)), (13, {}),
+    ])
+    def test_vacuum_inputs_change_the_factorization(self, n_mech, change):
+        lindblad._vacuum_lu.cache_clear()
+        ls, _ = ladder_solve(HilbertSpec(3, 12), delta_c=0.4, g0=0.7)
+        lu = cached_vacuum_lu(ls)[0]
+        ls, _ = ladder_solve(HilbertSpec(3, n_mech), delta_c=0.4, g0=0.7, **change)
+        assert lindblad._vacuum_lu.cache_info().misses == 2
+        assert not np.array_equal(cached_vacuum_lu(ls)[0], lu)
+
+    def test_cached_factorization_is_read_only(self):
+        ls, _ = ladder_solve(HilbertSpec(3, 12), delta_c=0.4, g0=0.7)
+        lu, piv = cached_vacuum_lu(ls)
+        assert not lu.flags.writeable and not piv.flags.writeable
+        with pytest.raises(ValueError):
+            lu[0, 0] = 0.0
+
+
 class TestObservables:
     def test_fock_state(self):
         spec = HilbertSpec(3, 4)

@@ -98,6 +98,16 @@ class TestHamiltonians:
         assert np.allclose(operators.build_h_driven(spec, p.replace(drive_amp=0.0)),
                            operators.build_h_rotating(spec, p))
 
+    @pytest.mark.parametrize("delta_c", [-1.3, 0.0, 0.594])
+    def test_driven_is_rotating_plus_drive_bit_for_bit(self, delta_c):
+        spec = HilbertSpec(4, 30)
+        p = FIG2.replace(delta_c=delta_c, omega_c=77.0, drive_amp=0.001)
+        ops = operators.build_mode_operators(spec)
+        rotating = operators.build_h_gom(spec, p.replace(omega_c=delta_c))
+        assert np.array_equal(operators.build_h_rotating(spec, p), rotating)
+        assert np.array_equal(operators.build_h_driven(spec, p),
+                              rotating + p.drive_amp * (ops.a_dag + ops.a))
+
 
 class TestExpm:
     def test_zero_matrix(self):

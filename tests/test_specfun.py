@@ -98,7 +98,9 @@ class TestDisplacementElement:
             flipped = specfun.displacement_matrix(-x, 12).conj().T
             assert np.allclose(mat, flipped, rtol=1e-12, atol=1e-300)
 
-    @pytest.mark.parametrize("x,dim", [(0.5, 30), (1.0, 60), (2.0, 60), (3.43, 120)])
+    # dim 596 is the cutoff of the propagator oracle in the acceptance tests
+    @pytest.mark.parametrize("x,dim", [(0.5, 30), (1.0, 60), (2.0, 60), (3.43, 120),
+                                       (0.05, 596), (6.8, 596)])
     def test_unitarity_on_safe_interior(self, x, dim):
         mat = specfun.displacement_matrix(x, dim)
         k = specfun.safe_interior_dim(x, dim)
