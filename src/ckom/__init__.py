@@ -5,7 +5,6 @@ both closed (unitary) and open (Lindblad) settings."""
 from .model import (
     SystemParams,
     delta_m,
-    eigen_energy,
     optimal_detuning,
     resonance_curve_g0,
     xi_m,
@@ -15,7 +14,6 @@ from .operators import (
     PropagatorFactors,
     build_h_driven,
     build_h_gom,
-    build_h_rotating,
     build_mode_operators,
     expm,
     propagator_factored,
@@ -46,7 +44,6 @@ from .catstate import (
     beta_theta,
     cat_snapshot,
     cat_state_vector,
-    closed_evolution_check,
     condition_open_system,
     detection_time,
     fidelity_vs_target,

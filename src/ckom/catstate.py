@@ -1,5 +1,5 @@
-"""Mechanical cat-state generation: closed-form snapshots, the factored-
-propagator consistency check, and open-system conditioning with fidelities.
+"""Mechanical cat-state generation: closed-form snapshots and open-system
+conditioning with fidelities.
 
 The protocol starts from (|0>_a + |1>_a) |0>_b / sqrt(2); detecting the cavity
 in |+/-> collapses the mechanics onto N_pm (|0> +/- e^{i theta} |beta>).
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import effective_mech_freq
-from .operators import propagator_factored
 from .lindblad import DensityMatrix
 from .errors import DegenerateBranch, DegenerateCat, TruncationLoss
 
@@ -122,38 +121,6 @@ def cat_state_vector(t, sign, params, n_mech):
     vec = _sign_factor(sign) * np.exp(1j * snap.theta) * coeff
     vec[0] += 1.0
     return snap.norm(sign) * vec
-
-
-def closed_evolution_check(t, params, spec, tol=1e-8):
-    """Apply the factored propagator to (|0>_a + |1>_a)|0>_b / sqrt(2) and
-    compare with the analytic branch form [|0,0> + e^{i theta} |1>|beta>]/sqrt(2).
-
-    Returns a report dict with the max coefficient deviation.
-    """
-    if spec.n_cav < 2:
-        raise ValueError("need at least the 0- and 1-photon sectors")
-    u = propagator_factored(t, params, spec)
-    psi0 = np.zeros(spec.dim, dtype=complex)
-    psi0[spec.index(0, 0)] = 1.0 / np.sqrt(2.0)
-    psi0[spec.index(1, 0)] = 1.0 / np.sqrt(2.0)
-    evolved = u @ psi0
-
-    snap = cat_snapshot(t, params)
-    expected = np.zeros(spec.dim, dtype=complex)
-    expected[spec.index(0, 0)] = 1.0 / np.sqrt(2.0)
-    expected[spec.block(1)] = (
-        np.exp(1j * snap.theta)
-        * coherent_coefficients(snap.beta, spec.n_mech)
-        / np.sqrt(2.0)
-    )
-    max_dev = float(np.abs(evolved - expected).max())
-    one_photon_norm = float(np.linalg.norm(evolved[spec.block(1)]))
-    return {
-        "t": t,
-        "max_deviation": max_dev,
-        "one_photon_norm": one_photon_norm,
-        "ok": max_dev < tol,
-    }
 
 
 def initial_superposition_density(spec):

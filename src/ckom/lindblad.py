@@ -5,9 +5,10 @@ The master equation is
 with D[o] rho = o rho o+ - (o+o rho + rho o+o)/2. Time evolution and the
 ladder steady state use its photon-number block form (``_BlockGenerator``);
 the direct steady state builds it from the full-space operators instead.
+``steady_state`` has one method per role: ``ladder`` for every sweep and
+``direct`` as its fallback and independent reference.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -208,28 +209,6 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     return states
 
 
-def _steady_by_integration(ls, t_max):
-    if ls.kappa <= 0:
-        raise ValueError("steady state by integration needs kappa > 0")
-    window = 10.0 / ls.kappa
-    if t_max is None:
-        t_max = 200.0 / ls.kappa
-    rho = vacuum_density(ls.spec)
-    t = 0.0
-    while t < t_max:
-        prev = rho.rho
-        # tighter than the plain evolve defaults: the convergence thresholds
-        # sit below the 1e-8 integration floor
-        rho = evolve(ls, rho, np.array([0.0, window]), rtol=1e-10, atol=1e-12)[-1]
-        t += window
-        resid = np.abs(apply_liouvillian(ls, rho)).max()
-        if resid < 1e-10:
-            return rho
-        if np.abs(rho.rho - prev).max() < 1e-10 and resid < 1e-9:
-            return rho
-    raise NonConvergence(f"no steady state after t = {t_max:g} (residual window 10/kappa)")
-
-
 def _steady_direct(ls):
     """Null vector of the vectorized Liouvillian with the trace constraint,
     built from the full-space mode operators, independently of the block
@@ -241,13 +220,18 @@ def _steady_direct(ls):
     )
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = spla.spsolve(liou.tocsc(), rhs)
-    if not np.all(np.isfinite(x)):
+    liou = liou.tocsc()
+    try:
+        lu = spla.splu(liou)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise NonConvergence(
-            "vectorized Liouvillian solve is singular; the steady state is not unique"
-        )
+            "vectorized Liouvillian is singular; the steady state is not unique"
+        ) from exc
+    x = lu.solve(rhs)
+    # iterative refinement with the same factors: the weak-drive blocks sit
+    # near 1e-12 and would otherwise carry the solve's backward error
+    for _ in range(2):
+        x += lu.solve(rhs - liou @ x)
     rho = x.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho = DensityMatrix(ls.spec, rho / np.trace(rho).real)
@@ -257,17 +241,42 @@ def _steady_direct(ls):
     return rho
 
 
-@functools.lru_cache(maxsize=1)
-def _vacuum_lu(h00, n_mech, gamma_down, gamma_up):
-    """Read-only LU of the photon-vacuum block's constrained Liouvillian, keyed
-    by all it reads: the bytes of H_00 = omega_m b+b, n_mech and the rates."""
-    b = destroy(n_mech)
-    lu_piv = sla.lu_factor(_constrained_liouvillian(
-        np.frombuffer(h00, dtype=complex).reshape(n_mech, n_mech),
-        ((b, gamma_down), (b.conj().T, gamma_up))).toarray())
-    for arr in lu_piv:
-        arr.setflags(write=False)
-    return lu_piv
+def _vacuum_solver(energies, gamma_down, gamma_up):
+    """Solver of the photon-vacuum block's equation
+    -i[H_00, X] + gamma_down D[b]X + gamma_up D[b+]X = R for H_00 =
+    diag(energies), with the (0, 0) equation replaced by Tr X = R[0, 0].
+
+    With H_00 diagonal, every term keeps the offset k = i - j of X_ij fixed,
+    so the block splits into 2 n - 1 tridiagonal systems along the diagonals
+    of X; only k = 0 carries the trace row. They are padded to n unknowns
+    and inverted once as one stack; ``solve`` gathers the diagonals of R,
+    applies the inverses and scatters the result back.
+    """
+    n = energies.size
+    q = np.arange(n)  # position along a diagonal
+    k = np.arange(1 - n, n)[:, None]
+    i, j = q + np.maximum(k, 0), q + np.maximum(-k, 0)
+    valid = q < n - np.abs(k)
+    idx = np.where(valid, i * n + j, n * n)  # padding reads and writes a spare slot
+    i, j = np.minimum(i, n - 1), np.minimum(j, n - 1)
+    up_occ = np.where(q < n - 1, q + 1.0, 0.0)  # diagonal of the truncated b b+
+    diag = (-1j * (energies[i] - energies[j]) - 0.5 * gamma_down * (i + j)
+            - 0.5 * gamma_up * (up_occ[i] + up_occ[j]))
+    mat = np.zeros((2 * n - 1, n, n), dtype=complex)
+    mat[:, q, q] = np.where(valid, diag, 1.0)
+    # b X b+ feeds position q from q + 1, b+ X b feeds q + 1 from q
+    weight = valid[:, 1:] * np.sqrt(i[:, 1:] * j[:, 1:])
+    mat[:, q[:-1], q[1:]] = gamma_down * weight
+    mat[:, q[1:], q[:-1]] = gamma_up * weight
+    mat[n - 1, 0, :] = 1.0  # k = 0, position 0: the trace row
+    inv = np.linalg.inv(mat)
+
+    def solve(rhs):
+        flat = np.append(rhs.ravel(), 0.0)
+        flat[idx] = (inv @ flat[idx][:, :, None])[:, :, 0]
+        return flat[:-1].reshape(n, n)
+
+    return solve
 
 
 def _steady_ladder(ls, max_sweeps=200):
@@ -280,20 +289,23 @@ def _steady_ladder(ls, max_sweeps=200):
     drifts, while the rest (drive couplings, photon feed-down, mechanical
     jumps) is iterated Gauss-Seidel style to convergence. The photon-vacuum
     block, whose drift alone is singular, is solved with its mechanical
-    jumps and a trace constraint. Its LU is factored once per (H_00,
-    gamma_down, gamma_up) and reused (``_vacuum_lu``), so a detuning sweep or
-    a (g0, g_ck) map factors it once; the sector drifts are diagonalized per
-    solve.
+    jumps and a trace constraint, one diagonal offset at a time
+    (``_vacuum_solver``); both it and the sector drifts are set up per solve.
 
     Needs mechanical damping (the vacuum-block dissipator must have a unique
-    fixed point) and a drive weaker than the cavity linewidth (contraction of
-    the hierarchy). Returns (state, None), or (None, the reason) when these
-    fail or the Gauss-Seidel sweeps have not settled within ``max_sweeps``.
+    fixed point), a diagonal H_00 and a drive weaker than the cavity
+    linewidth (contraction of the hierarchy). Returns (state, None), or
+    (None, the reason) when these fail or the Gauss-Seidel sweeps have not
+    settled within ``max_sweeps``.
     """
     spec = ls.spec
-    nc, nm = spec.n_cav, spec.n_mech
+    nc = spec.n_cav
     if ls.gamma_down <= 0.0:
         return None, "no mechanical damping"
+    h00 = spec.blocks(ls.hamiltonian)[0, :, 0, :]
+    energies = np.diagonal(h00)
+    if np.count_nonzero(h00 - np.diag(energies)):
+        return None, "photon-vacuum Hamiltonian is not diagonal"
     gen = _BlockGenerator(ls)
     if max(np.abs(u).max() for u in gen.up) > 0.5 * ls.kappa * nc:
         return None, "drive too strong for the contraction test"
@@ -302,8 +314,7 @@ def _steady_ladder(ls, max_sweeps=200):
     for g in gen.drift:
         lam, v = sla.eig(g)
         eig.append((lam, v, sla.inv(v)))
-    h00 = spec.blocks(ls.hamiltonian)[0, :, 0, :].astype(complex)
-    lu00 = _vacuum_lu(h00.tobytes(), nm, ls.gamma_down, ls.gamma_up)
+    solve00 = _vacuum_solver(energies, ls.gamma_down, ls.gamma_up)
 
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho[0, 0] = 1.0
@@ -318,11 +329,11 @@ def _steady_ladder(ls, max_sweeps=200):
             prev = blocks[m, :, mp, :].copy()
             if m == 0 and mp == 0:
                 # zeroed first, so rest holds only the neighbours' terms; the
-                # block's own mechanical jumps are in lu00
+                # block's own mechanical jumps are in solve00
                 blocks[0, :, 0, :] = 0.0
-                rhs = -gen.rest(blocks, 0, 0).ravel()
-                rhs[0] = 1.0 - sum(np.trace(blocks[k, :, k, :]).real for k in range(1, nc))
-                new = sla.lu_solve(lu00, rhs).reshape(nm, nm)
+                rhs = -gen.rest(blocks, 0, 0)
+                rhs[0, 0] = 1.0 - sum(np.trace(blocks[k, :, k, :]).real for k in range(1, nc))
+                new = solve00(rhs)
             else:
                 q = -gen.rest(blocks, m, mp)
                 lam_m, v_m, vinv_m = eig[m]
@@ -343,29 +354,24 @@ def _steady_ladder(ls, max_sweeps=200):
     return DensityMatrix(spec, rho / np.trace(rho).real), None
 
 
-def steady_state(ls, method="evolve", t_max=None):
-    """Steady state of the master equation, by one of three methods.
+def steady_state(ls, method="ladder"):
+    """Steady state of the master equation, by one of two methods.
 
-    ``"ladder"`` solves the photon-block hierarchy at per-block precision.
-    It is the method for weak-drive sweeps, where the high-photon
+    ``"ladder"`` (default) solves the photon-block hierarchy at per-block
+    precision. It is the method for weak-drive sweeps, where the high-photon
     populations sit far below the roundoff floor of any global solve. When
-    its preconditions fail (no mechanical damping, a drive too strong for
-    the hierarchy to contract), its iteration does not settle or its
-    residual exceeds 1e-9, it warns ``SolverFallback`` with the reason and
-    falls back to ``"direct"``. Without drive and thermal phonons the vacuum
-    is dark and is returned as the exact fixed point.
+    its preconditions fail (no mechanical damping, a non-diagonal H_00, a
+    drive too strong for the hierarchy to contract), its iteration does not
+    settle or its residual exceeds 1e-9, it warns ``SolverFallback`` with the
+    reason and falls back to ``"direct"``. Without drive and thermal phonons
+    the vacuum is dark and is returned as the exact fixed point.
 
     ``"direct"`` solves the vectorized Liouvillian null space with a trace
-    constraint: the general solver for any regime with a unique steady state.
-
-    ``"evolve"`` (default) integrates from the vacuum until the residual
-    settles. It is slow and serves as the independent oracle for the other
-    two.
+    constraint, refined iteratively: the general solver for any regime with
+    a unique steady state, and the independent reference for the ladder.
     """
     if ls.kappa <= 0:
         raise ValueError("a unique driven steady state needs kappa > 0")
-    if method == "evolve":
-        return _steady_by_integration(ls, t_max)
     if method == "direct":
         return _steady_direct(ls)
     if method == "ladder":

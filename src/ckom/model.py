@@ -83,21 +83,6 @@ def delta_m(m, params):
     return params.g0**2 * m**2 / effective_mech_freq(m, params)
 
 
-def eigen_energy(m, n, params, frame="lab"):
-    """Eigenvalue of the (m photons, n phonons) eigenstate.
-
-    ``frame="lab"`` gives m*omega_c + (omega_m - m*g_ck)*n - delta_m;
-    ``frame="rotating"`` replaces omega_c by the drive detuning delta_c.
-    """
-    if frame == "lab":
-        base = params.omega_c
-    elif frame == "rotating":
-        base = params.delta_c
-    else:
-        raise ValueError(f"unknown frame {frame!r}")
-    return m * base + effective_mech_freq(m, params) * n - delta_m(m, params)
-
-
 def optimal_detuning(kind, n, params):
     """Drive detuning that makes the n-th sideband transition resonant.
 

@@ -104,13 +104,9 @@ def build_h_gom(spec, params):
     return _h_gom(build_mode_operators(spec), params, params.omega_c)
 
 
-def build_h_rotating(spec, params):
-    """Same as build_h_gom with omega_c replaced by the drive detuning."""
-    return _h_gom(build_mode_operators(spec), params, params.delta_c)
-
-
 def build_h_driven(spec, params):
-    """Rotating-frame Hamiltonian including the drive Omega (a+ + a)."""
+    """Rotating-frame Hamiltonian: build_h_gom with omega_c replaced by the
+    drive detuning delta_c, plus the drive Omega (a+ + a)."""
     ops = build_mode_operators(spec)
     return _h_gom(ops, params, params.delta_c) + params.drive_amp * (ops.a_dag + ops.a)
 

@@ -1,6 +1,8 @@
 """Master-equation machinery: generator structure, integration quality,
-steady-state solvers (all three methods against each other), observables."""
+steady-state solvers (ladder, direct and long-time integration against each
+other), observables."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from ckom.model import SystemParams
-from ckom.operators import (HilbertSpec, build_h_driven, build_mode_operators, expm,
+from ckom.operators import (HilbertSpec, build_h_driven, build_mode_operators, destroy, expm,
                             propagator_factored)
 from ckom import lindblad
 from ckom.lindblad import (
@@ -214,22 +216,21 @@ class TestSteadyState:
     def test_vacuum_without_drive(self):
         spec = HilbertSpec(3, 5)
         p = SystemParams(g0=0.4, g_ck=0.1, kappa=0.2, gamma_m=0.01, delta_c=0.3)
-        for method in ("evolve", "direct", "ladder"):
+        for method in ("direct", "ladder"):
             rho = steady_state(make_lindblad(p, spec, frame="rotating"), method=method)
             assert abs(rho.rho[0, 0].real - 1.0) < 1e-8
 
     def test_degenerate_drive_free_case(self):
         # without drive and mechanical damping the 0-photon sector is
-        # dissipation-free: the direct solve must refuse, the other methods
-        # still land on the vacuum they start from
+        # dissipation-free: the direct solve must refuse, the ladder still
+        # returns the dark vacuum
         spec = HilbertSpec(3, 5)
         p = SystemParams(g0=0.4, g_ck=0.1, kappa=0.2, gamma_m=0.0, delta_c=0.3)
         ls = make_lindblad(p, spec, frame="rotating")
         with pytest.raises(NonConvergence):
             steady_state(ls, method="direct")
-        for method in ("evolve", "ladder"):
-            rho = steady_state(ls, method=method)
-            assert abs(rho.rho[0, 0].real - 1.0) < 1e-8
+        rho = steady_state(ls, method="ladder")
+        assert abs(rho.rho[0, 0].real - 1.0) < 1e-8
 
     def test_thermal_mechanical_occupation(self):
         spec = HilbertSpec(2, 24)
@@ -252,16 +253,17 @@ class TestSteadyState:
             assert np.abs(apply_liouvillian(ls, dm)).max() < 1e-9
             assert abs(np.trace(dm.rho).real - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("delta_c", [-2.0, 0.0])
+    @pytest.mark.parametrize("delta_c", [-2.0, 0.0, -1.234, -0.634, -1.121, -1.192, 0.594])
     def test_ladder_g2_matches_direct_at_blockade_physics(self, delta_c):
-        # the paper's 4 x 30 blockade model; ladder and direct agree to ~1e-13
+        # the paper's 4 x 30 blockade model; the two-photon block sits near
+        # 1e-12 here, and direct resolves it only with its refinement steps
         spec = HilbertSpec(4, 30)
         p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001,
                          drive_amp=0.001, delta_c=delta_c)
         ls = make_lindblad(p, spec, frame="rotating")
         ladder = observables(steady_state(ls, method="ladder"))["g2"]
         direct = observables(steady_state(ls, method="direct"))["g2"]
-        assert abs(ladder / direct - 1.0) < 1e-9
+        assert abs(ladder / direct - 1.0) < 1e-11
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -301,6 +303,20 @@ class TestSteadyState:
             rho = steady_state(ls, method="ladder")
         assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
 
+    def test_non_diagonal_vacuum_hamiltonian_falls_back(self):
+        # a static force on the mechanics in the photon vacuum couples the
+        # diagonal offsets the ladder's vacuum solve splits apart
+        spec = HilbertSpec(3, 6)
+        p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=0.01)
+        ls = make_lindblad(p, spec, frame="rotating")
+        b = destroy(spec.n_mech)
+        h = ls.hamiltonian.copy()
+        h[spec.block(0), spec.block(0)] += 0.02 * (b + b.conj().T)
+        ls = dataclasses.replace(ls, hamiltonian=h)
+        with pytest.warns(SolverFallback, match="photon-vacuum Hamiltonian is not diagonal"):
+            rho = steady_state(ls)
+        assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
+
     def test_unknown_method(self):
         ls = make_lindblad(SystemParams(kappa=0.1, gamma_m=0.01), HilbertSpec(2, 4))
         with pytest.raises(ValueError, match="unknown steady-state method"):
@@ -332,13 +348,15 @@ class TestSteadyState:
         assert abs(np.trace(n_b @ rho.rho).real - 0.7) < 1e-6
 
     def test_integration_method_matches_direct(self):
-        # gamma sets the slowest relaxation; keep it fast enough to settle
-        # inside the 200/kappa integration budget
+        # long-time integration from the vacuum as the oracle; gamma sets the
+        # slowest relaxation, fast enough to settle well inside 200/kappa
         spec = HilbertSpec(2, 6)
         p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.3, gamma_m=0.15, nbar_m=0.2,
                          drive_amp=0.02, delta_c=0.1)
         ls = make_lindblad(p, spec, frame="rotating")
-        via_evolve = steady_state(ls, method="evolve")
+        t_grid = np.array([0.0, 200.0 / p.kappa])
+        via_evolve = evolve(ls, vacuum_density(spec), t_grid, rtol=1e-10, atol=1e-12)[-1]
+        assert np.abs(apply_liouvillian(ls, via_evolve)).max() < 1e-9
         via_direct = steady_state(ls, method="direct")
         assert np.abs(via_evolve.rho - via_direct.rho).max() < 1e-7
 
@@ -348,71 +366,30 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             steady_state(make_lindblad(p, spec, frame="rotating"))
 
-    def test_nonconvergence_budget(self):
-        # mechanical thermalization much slower than 200/kappa windows can see
-        spec = HilbertSpec(2, 4)
-        p = SystemParams(g0=0.0, g_ck=0.0, kappa=50.0, gamma_m=1e-4, nbar_m=1.0)
-        ls = make_lindblad(p, spec, frame="rotating")
-        with pytest.raises(NonConvergence):
-            steady_state(ls, method="evolve")
 
-
-def ladder_solve(spec, **physics):
-    """Ladder steady state at Table 1 rates, failing on any fallback to direct."""
-    rates = dict(kappa=0.1, gamma_m=0.001, drive_amp=0.001) | physics
-    ls = make_lindblad(SystemParams(**rates), spec, frame="rotating")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SolverFallback)
-        return ls, steady_state(ls, method="ladder").rho
-
-
-def cached_vacuum_lu(ls):
-    """The factorization the cache holds after a ladder solve of ``ls``."""
-    h00 = ls.spec.blocks(ls.hamiltonian)[0, :, 0, :].astype(complex)
-    return lindblad._vacuum_lu(h00.tobytes(), ls.spec.n_mech, ls.gamma_down, ls.gamma_up)
-
-
-class TestVacuumLuCache:
-    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
-    @given(delta_c=st.floats(-3.0, 2.0), g0=st.floats(0.0, 1.0), g_ck=st.floats(0.0, 0.3))
-    def test_cold_and_warm_cache_agree_bit_for_bit(self, **physics):
-        spec = HilbertSpec(3, 12)
-        ladder_solve(spec, delta_c=0.37, g0=0.5, g_ck=0.1)  # warms the cache
-        _, warm = ladder_solve(spec, **physics)
-        assert lindblad._vacuum_lu.cache_info().currsize == 1
-        lindblad._vacuum_lu.cache_clear()
-        _, cold = ladder_solve(spec, **physics)
-        assert lindblad._vacuum_lu.cache_info().misses == 1
-        assert np.array_equal(cold, warm)
-
-    @pytest.mark.parametrize("grid", [
-        [dict(delta_c=d) for d in np.linspace(-1.5, 1.0, 6)],  # crosses delta_c = 0
-        [dict(g0=g0, g_ck=g_ck) for g0 in (0.05, 0.6, 1.2) for g_ck in (0.0, 0.15, 0.3)],
-    ])
-    def test_one_miss_per_sweep(self, grid):
-        lindblad._vacuum_lu.cache_clear()
-        for point in grid:
-            ladder_solve(HilbertSpec(3, 12), **point)
-        info = lindblad._vacuum_lu.cache_info()
-        assert (info.misses, info.hits) == (1, len(grid) - 1)
-
-    @pytest.mark.parametrize("n_mech,change", [
-        (12, dict(gamma_m=0.002)), (12, dict(nbar_m=0.3)), (12, dict(omega_m=1.1)), (13, {}),
-    ])
-    def test_vacuum_inputs_change_the_factorization(self, n_mech, change):
-        lindblad._vacuum_lu.cache_clear()
-        ls, _ = ladder_solve(HilbertSpec(3, 12), delta_c=0.4, g0=0.7)
-        lu = cached_vacuum_lu(ls)[0]
-        ls, _ = ladder_solve(HilbertSpec(3, n_mech), delta_c=0.4, g0=0.7, **change)
-        assert lindblad._vacuum_lu.cache_info().misses == 2
-        assert not np.array_equal(cached_vacuum_lu(ls)[0], lu)
-
-    def test_cached_factorization_is_read_only(self):
-        ls, _ = ladder_solve(HilbertSpec(3, 12), delta_c=0.4, g0=0.7)
-        lu, piv = cached_vacuum_lu(ls)
-        assert not lu.flags.writeable and not piv.flags.writeable
-        with pytest.raises(ValueError):
-            lu[0, 0] = 0.0
+class TestVacuumSolver:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n_mech=st.integers(2, 20),
+        omega_m=st.floats(0.5, 2.0),
+        gamma_down=st.floats(1e-4, 0.1),
+        up_share=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_offset_solve_matches_dense_solve(self, n_mech, omega_m, gamma_down, up_share,
+                                              seed):
+        # the vacuum block solved one diagonal offset at a time against a
+        # dense solve of its trace-constrained vectorized Liouvillian
+        gamma_up = up_share * gamma_down
+        h00 = omega_m * np.diag(np.arange(n_mech)).astype(complex)
+        b = destroy(n_mech)
+        dense = lindblad._constrained_liouvillian(
+            h00, ((b, gamma_down), (b.conj().T, gamma_up))).toarray()
+        rng = np.random.default_rng(seed)
+        rhs = rng.normal(size=(n_mech, n_mech)) + 1j * rng.normal(size=(n_mech, n_mech))
+        want = sla.solve(dense, rhs.ravel()).reshape(n_mech, n_mech)
+        got = lindblad._vacuum_solver(np.diagonal(h00), gamma_down, gamma_up)(rhs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestObservables:
