@@ -22,8 +22,6 @@ from .operators import (
 from .blockade import (
     AmplitudeTable,
     PhotonStats,
-    g2_single_photon_resonance,
-    g2_two_photon_resonance,
     longtime_amplitudes,
     photon_stats_exact,
     photon_stats_lamb_dicke,

@@ -23,25 +23,16 @@ class PhotonStats:
     p1: float
     p2: float
     g2: float
-    method: str
 
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Long-time amplitudes over the phonon sideband index, global phases
-    dropped (only the moduli enter the photon statistics)."""
+    """Long-time one- and two-photon amplitudes over the phonon sideband
+    index, global phases dropped (only the moduli enter the photon
+    statistics)."""
 
-    c0: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-
-    @property
-    def norm(self):
-        return float(
-            np.sum(np.abs(self.c0) ** 2)
-            + np.sum(np.abs(self.c1) ** 2)
-            + np.sum(np.abs(self.c2) ** 2)
-        )
 
 
 def _check_tail(weights, label):
@@ -61,9 +52,9 @@ def longtime_amplitudes(params, spec):
     """Long-time perturbative amplitudes for the driven cavity, starting from
     the empty cavity with the mechanics in its ground state.
 
-    Returns an AmplitudeTable with c0[n] = delta_{n,0} and c1, c2 the one- and
-    two-photon sideband amplitudes with the resonance denominators broadened
-    by kappa/2 and kappa.
+    Returns an AmplitudeTable with c1, c2 the one- and two-photon sideband
+    amplitudes, the resonance denominators broadened by kappa/2 and kappa;
+    the vacuum amplitude stays delta_{n,0} at this order.
     """
     if params.kappa > 0 and params.drive_amp / params.kappa > 0.1:
         warnings.warn(
@@ -79,9 +70,6 @@ def longtime_amplitudes(params, spec):
     d1 = delta_m(1, params)
     d2 = delta_m(2, params)
 
-    c0 = np.zeros(nm, dtype=complex)
-    c0[0] = 1.0
-
     # <n-tilde(1)|0> and <n-tilde(2)|l-tilde(1)> via exact displacement elements
     fc10 = displacement_matrix(-xi_m(1, params), nm)[:, 0]
     fc21 = displacement_matrix(xi_m(1, params) - xi_m(2, params), nm)
@@ -95,7 +83,7 @@ def longtime_amplitudes(params, spec):
     _check_tail(np.abs(c1) ** 2, "one-photon amplitudes")
     _check_tail(np.abs(c2) ** 2, "two-photon amplitudes")
     _check_tail(np.abs(fc10 / den1) ** 2, "intermediate sideband sum")
-    return AmplitudeTable(c0=c0, c1=c1, c2=c2)
+    return AmplitudeTable(c1=c1, c2=c2)
 
 
 def photon_stats_exact(params, spec):
@@ -103,7 +91,7 @@ def photon_stats_exact(params, spec):
     amps = longtime_amplitudes(params, spec)
     p1 = float(np.sum(np.abs(amps.c1) ** 2))
     p2 = float(np.sum(np.abs(amps.c2) ** 2))
-    return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=2.0 * p2 / p1**2, method="exact-sideband")
+    return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=2.0 * p2 / p1**2)
 
 
 def photon_stats_lamb_dicke(params):
@@ -122,20 +110,5 @@ def photon_stats_lamb_dicke(params):
     p1 = params.drive_amp**2 / lor1
     p2 = 2.0 * params.drive_amp**4 / (lor2 * lor1)
     g2 = (4.0 * (dc - d1) ** 2 + k**2) / lor2
-    return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=g2, method="lamb-dicke")
+    return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=g2)
 
-
-def g2_single_photon_resonance(params):
-    """g2 at the single-photon resonance dc = delta_m(1):
-    kappa^2 / [(2 d1 - d2)^2 + kappa^2]."""
-    d1 = delta_m(1, params)
-    d2 = delta_m(2, params)
-    return params.kappa**2 / ((2.0 * d1 - d2) ** 2 + params.kappa**2)
-
-
-def g2_two_photon_resonance(params):
-    """g2 at the two-photon resonance dc = delta_m(2)/2:
-    [(d2 - 2 d1)^2 + kappa^2] / kappa^2."""
-    d1 = delta_m(1, params)
-    d2 = delta_m(2, params)
-    return ((d2 - 2.0 * d1) ** 2 + params.kappa**2) / params.kappa**2

@@ -29,20 +29,29 @@ class CatSnapshot:
     prob_minus: float
 
     def norm(self, sign):
-        return self.norm_plus if sign == "plus" else self.norm_minus
-
-    def prob(self, sign):
-        return self.prob_plus if sign == "plus" else self.prob_minus
+        return self.norm_plus if _sign_factor(sign) > 0 else self.norm_minus
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionalState:
-    """Mechanical state conditioned on a cavity |+/-> detection."""
+    """One branch of a cavity |+/-> detection: its probability ``prob`` and
+    Theta = rho_b * 2 prob. A branch of probability below 1e-12 has no
+    conditioned state; reading its ``rho_b`` raises DegenerateBranch."""
 
     sign: str
     t: float
-    rho_b: np.ndarray
     prob: float
+    theta_mat: np.ndarray
+
+    @property
+    def rho_b(self):
+        """Conditioned mechanical density matrix Theta / (2 prob), Hermitian."""
+        if self.prob < _DEGENERACY_FLOOR:
+            raise DegenerateBranch(
+                f"{self.sign} branch probability {self.prob:.2e} at t = {self.t}"
+            )
+        rho_b = self.theta_mat / (2.0 * self.prob)
+        return 0.5 * (rho_b + rho_b.conj().T)
 
 
 def detection_time(params):
@@ -83,9 +92,7 @@ def cat_snapshot(t, params, require=None):
         val = 1.0 + s * overlap
         probs[sign] = 0.5 * val
         norms[sign] = (2.0 * val) ** -0.5 if val > _DEGENERACY_FLOOR else np.inf
-    if require is not None and not np.isfinite(norms[require]):
-        raise DegenerateCat(f"{require} branch has vanishing norm at t = {t}")
-    return CatSnapshot(
+    snap = CatSnapshot(
         t=t,
         beta=beta,
         theta=theta,
@@ -94,6 +101,9 @@ def cat_snapshot(t, params, require=None):
         prob_plus=probs["plus"],
         prob_minus=probs["minus"],
     )
+    if require is not None and not np.isfinite(snap.norm(require)):
+        raise DegenerateCat(f"{require} branch has vanishing norm at t = {t}")
+    return snap
 
 
 def coherent_coefficients(beta, n_mech):
@@ -105,19 +115,15 @@ def coherent_coefficients(beta, n_mech):
     return np.cumprod(steps) * np.exp(-0.5 * abs(beta) ** 2)
 
 
-def _coherent_tail_check(coeff, n_mech):
+def cat_state_vector(t, sign, params, n_mech):
+    """Normalized Fock-space vector N_pm (|0> +/- e^{i theta} |beta>)."""
+    snap = cat_snapshot(t, params, require=sign)
+    coeff = coherent_coefficients(snap.beta, n_mech)
     tail = 1.0 - float(np.sum(np.abs(coeff) ** 2))
     if tail > 1e-8:
         raise TruncationLoss(
             f"coherent tail beyond n_mech={n_mech} carries {tail:.2e} probability"
         )
-
-
-def cat_state_vector(t, sign, params, n_mech):
-    """Normalized Fock-space vector N_pm (|0> +/- e^{i theta} |beta>)."""
-    snap = cat_snapshot(t, params, require=sign)
-    coeff = coherent_coefficients(snap.beta, n_mech)
-    _coherent_tail_check(coeff, n_mech)
     vec = _sign_factor(sign) * np.exp(1j * snap.theta) * coeff
     vec[0] += 1.0
     return snap.norm(sign) * vec
@@ -131,53 +137,34 @@ def initial_superposition_density(spec):
     return DensityMatrix(spec, np.outer(psi, psi.conj()))
 
 
-def _theta_matrices(dm):
+def condition_open_system(dm, t=np.nan):
+    """Both branches of a cavity |+/-> detection on a full cavity-mechanics
+    state, (plus, minus).
+
+    Theta^pm_{jk} = rho_{0j,0k} + rho_{1j,1k} +/- (rho_{0j,1k} + rho_{1j,0k});
+    each branch has probability P_pm = sum_j Theta^pm_{jj} / 2, defined for
+    any state, and conditioned mechanical state Theta^pm / (2 P_pm). A branch
+    with P_pm below 1e-12 is still returned, with its probability; only
+    reading its ``rho_b`` raises DegenerateBranch.
+    """
     spec = dm.spec
     if spec.n_cav < 2:
         raise ValueError("conditioning needs at least the 0- and 1-photon sectors")
     blocks = spec.blocks(dm.rho)
     diag = blocks[0, :, 0, :] + blocks[1, :, 1, :]
     cross = blocks[0, :, 1, :] + blocks[1, :, 0, :]
-    return diag + cross, diag - cross
-
-
-def branch_probabilities(dm):
-    """Detection probabilities (P_plus, P_minus) of a cavity |+/-> measurement,
-    defined for any state (degenerate branches included)."""
-    theta_plus, theta_minus = _theta_matrices(dm)
-    return (
-        0.5 * float(np.trace(theta_plus).real),
-        0.5 * float(np.trace(theta_minus).real),
+    return tuple(
+        ConditionalState(sign=sign, t=t, prob=0.5 * float(np.trace(theta_mat).real),
+                         theta_mat=theta_mat)
+        for sign, theta_mat in (("plus", diag + cross), ("minus", diag - cross))
     )
 
 
-def condition_open_system(dm, t=np.nan):
-    """Condition a full cavity-mechanics state on cavity |+/-> detection.
-
-    Theta^pm_{jk} = rho_{0j,0k} + rho_{1j,1k} +/- (rho_{0j,1k} + rho_{1j,0k});
-    the measurement probabilities are P_pm = sum_j Theta^pm_{jj} / 2 and the
-    conditioned mechanical matrices Theta^pm / (2 P_pm).
-    """
-    out = []
-    for sign, theta_mat in zip(("plus", "minus"), _theta_matrices(dm)):
-        prob = 0.5 * float(np.trace(theta_mat).real)
-        if prob < _DEGENERACY_FLOOR:
-            raise DegenerateBranch(f"{sign} branch probability {prob:.2e} at t = {t}")
-        rho_b = theta_mat / (2.0 * prob)
-        rho_b = 0.5 * (rho_b + rho_b.conj().T)
-        out.append(ConditionalState(sign=sign, t=t, rho_b=rho_b, prob=prob))
-    return tuple(out)
-
-
 def fidelity_vs_target(cond, t, params):
-    """Overlap <Phi_pm(t)| rho_b |Phi_pm(t)> with the ideal cat branch,
-    evaluated as the explicit double sum over the conditioned matrix with
-    coherent-state coefficients."""
-    snap = cat_snapshot(t, params, require=cond.sign)
-    n_mech = cond.rho_b.shape[0]
-    coeff = coherent_coefficients(snap.beta, n_mech)
-    _coherent_tail_check(coeff, n_mech)
-    bra = _sign_factor(cond.sign) * np.exp(-1j * snap.theta) * coeff.conj()
-    bra[0] += 1.0
-    bra *= snap.norm(cond.sign)
-    return float(np.einsum("j,jk,k->", bra, cond.rho_b, bra.conj()).real)
+    """Fidelity <Phi|rho_b|Phi> of a conditioned state with its ideal cat
+    branch, Phi = cat_state_vector(t, cond.sign, params, n) on the cutoff n
+    of rho_b. Raises DegenerateBranch for a branch of vanishing probability
+    and DegenerateCat where the ideal branch itself vanishes."""
+    rho_b = cond.rho_b
+    vec = cat_state_vector(t, cond.sign, params, rho_b.shape[0])
+    return float(np.real(vec.conj() @ rho_b @ vec))

@@ -372,14 +372,13 @@ def cmd_cat(args, config, params, spec):
         point = params.replace(kappa=kap, gamma_m=gam, nbar_m=nbar)
         states = evolve(make_lindblad(point, spec, frame="lab"), rho0, eval_times)
         for t, dm in zip(eval_times, states):
-            p_plus, p_minus = catstate.branch_probabilities(dm)
-            fids = {"plus": np.nan, "minus": np.nan}
-            try:
-                for cond in catstate.condition_open_system(dm, t):
-                    fids[cond.sign] = catstate.fidelity_vs_target(cond, t, point)
-            except (DegenerateBranch, DegenerateCat):
-                pass
-            row = [kap, gam, nbar, t, p_plus, p_minus, fids["plus"], fids["minus"]]
+            branches = catstate.condition_open_system(dm, t)
+            row = [kap, gam, nbar, t, *(cond.prob for cond in branches)]
+            for cond in branches:  # a degenerate branch leaves only its own fidelity empty
+                try:
+                    row.append(catstate.fidelity_vs_target(cond, t, point))
+                except (DegenerateBranch, DegenerateCat):
+                    row.append(np.nan)
             if t in t_grid:
                 rows.append(row)
             if t == t_snap:
@@ -400,8 +399,8 @@ def _snapshot(args, config, params, spec):
         return t, None
     ls = make_lindblad(params, spec, frame="lab")
     dm = evolve(ls, catstate.initial_superposition_density(spec), np.array([0.0, t]))[-1]
-    plus, minus = catstate.condition_open_system(dm, t)
-    return t, plus if args.branch == "plus" else minus
+    return t, next(cond for cond in catstate.condition_open_system(dm, t)
+                   if cond.sign == args.branch)
 
 
 def cmd_wigner(args, config, params, spec):

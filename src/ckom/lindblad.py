@@ -177,26 +177,32 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     The integrator runs without the frame's omega_c a+a term, whose phase
     each reported state gets back exactly. The raw integrator state is never
     renormalized; the returned matrices are symmetrized and trace-normalized.
+    A grid that does not advance (every time equal to t_grid[0]) returns the
+    initial state at each time, without integrating.
     """
     d = ls.spec.dim
     r0 = _as_matrix(rho0).astype(complex)
     t_grid = np.asarray(t_grid, dtype=float)
     gen = _BlockGenerator(ls)
-    sol = solve_ivp(
-        lambda _t, y: gen.apply(y.reshape(d, d)).ravel(),
-        (t_grid[0], t_grid[-1]),
-        r0.ravel(),
-        t_eval=t_grid,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(f"master-equation integration failed: {sol.message}")
+    if t_grid[-1] == t_grid[0]:
+        y = np.repeat(r0.reshape(-1, 1), t_grid.size, axis=1)
+    else:
+        sol = solve_ivp(
+            lambda _t, y: gen.apply(y.reshape(d, d)).ravel(),
+            (t_grid[0], t_grid[-1]),
+            r0.ravel(),
+            t_eval=t_grid,
+            method="RK45",
+            rtol=rtol,
+            atol=atol,
+        )
+        if not sol.success:
+            raise StepSizeUnderflow(f"master-equation integration failed: {sol.message}")
+        y = sol.y
 
     states = []
     for k in range(t_grid.size):
-        r = sol.y[:, k].reshape(d, d)
+        r = y[:, k].reshape(d, d)
         drift = np.abs(r - r.conj().T).max()
         if drift > 1e-7:
             raise StepSizeUnderflow(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .catstate import cat_snapshot, coherent_coefficients
+from .catstate import _sign_factor, beta_theta, cat_snapshot, cat_state_vector
 from .specfun import laguerre_rows, log_factorial
 from .errors import TruncationLoss
 
@@ -26,19 +26,10 @@ _TERM_FLOOR = 1e-14
 class PhaseSpaceGrid:
     """Sampled Wigner function or quadrature distribution with its axes."""
 
-    kind: str                      # "wigner" or "quadrature"
     values: np.ndarray             # (n_re, n_im) for wigner, (n_x,) for quadrature
     re_axis: np.ndarray = None
     im_axis: np.ndarray = None
     x_axis: np.ndarray = None
-    theta: float = None
-
-    def integral(self):
-        """Trapezoid integral over the sampled domain."""
-        if self.kind == "wigner":
-            inner = np.trapezoid(self.values, self.im_axis, axis=1)
-            return float(np.trapezoid(inner, self.re_axis))
-        return float(np.trapezoid(self.values, self.x_axis))
 
 
 def wigner_cat_points(t, sign, params, eta):
@@ -46,7 +37,7 @@ def wigner_cat_points(t, sign, params, eta):
     snap = cat_snapshot(t, params, require=sign)
     eta = np.asarray(eta, dtype=complex)
     beta = snap.beta
-    s = 1.0 if sign == "plus" else -1.0
+    s = _sign_factor(sign)
     gauss0 = np.exp(-2.0 * np.abs(eta) ** 2)
     gauss1 = np.exp(-2.0 * np.abs(beta - eta) ** 2)
     cross = np.exp(-0.5 * abs(beta) ** 2 + 2.0 * np.conj(beta) * eta - 2.0 * np.abs(eta) ** 2)
@@ -57,7 +48,7 @@ def wigner_cat_points(t, sign, params, eta):
 def wigner_cat_analytic(t, sign, params, re_axis, im_axis):
     eta = re_axis[:, None] + 1j * im_axis[None, :]
     vals = wigner_cat_points(t, sign, params, eta)
-    return PhaseSpaceGrid(kind="wigner", values=vals, re_axis=re_axis, im_axis=im_axis)
+    return PhaseSpaceGrid(values=vals, re_axis=re_axis, im_axis=im_axis)
 
 
 def _check_truncation(rho_b):
@@ -114,7 +105,7 @@ def wigner_numeric_points(rho_b, eta):
 def wigner_numeric(rho_b, re_axis, im_axis):
     eta = re_axis[:, None] + 1j * im_axis[None, :]
     vals = wigner_numeric_points(rho_b, eta)
-    return PhaseSpaceGrid(kind="wigner", values=vals, re_axis=re_axis, im_axis=im_axis)
+    return PhaseSpaceGrid(values=vals, re_axis=re_axis, im_axis=im_axis)
 
 
 def oscillator_table(x, n_levels):
@@ -148,19 +139,13 @@ def _coherent_levels(beta):
 
 def quadrature_dist_cat(t, sign, theta, params, x_axis):
     """Distribution of the rotated quadrature X(theta) for a pure cat branch,
-    N^2 |<X|0> +/- e^{i theta_cat} <X|beta>|^2, the coherent overlap summed
-    until its terms fall below 1e-14."""
-    snap = cat_snapshot(t, params, require=sign)
-    s = 1.0 if sign == "plus" else -1.0
-    n_levels = _coherent_levels(snap.beta)
-    coeff = coherent_coefficients(snap.beta, n_levels) * np.exp(
-        -1j * theta * np.arange(n_levels)
-    )
-    table = oscillator_table(x_axis, n_levels)
-    overlap_beta = coeff @ table
-    amp = table[0] + s * np.exp(1j * snap.theta) * overlap_beta
-    vals = snap.norm(sign) ** 2 * np.abs(amp) ** 2
-    return PhaseSpaceGrid(kind="quadrature", values=vals, x_axis=np.asarray(x_axis), theta=theta)
+    |sum_n Phi_n e^{-i n theta} psi_n(X)|^2 with Phi = cat_state_vector(t,
+    sign, ...) on as many levels as its coherent component needs for its
+    terms to fall below 1e-14."""
+    n_levels = _coherent_levels(beta_theta(t, params)[0])
+    phi = cat_state_vector(t, sign, params, n_levels) * np.exp(-1j * theta * np.arange(n_levels))
+    vals = np.abs(phi @ oscillator_table(x_axis, n_levels)) ** 2
+    return PhaseSpaceGrid(values=vals, x_axis=np.asarray(x_axis))
 
 
 def quadrature_dist_numeric(rho_b, theta, x_axis):
@@ -171,7 +156,7 @@ def quadrature_dist_numeric(rho_b, theta, x_axis):
     dim = rho_b.shape[0]
     phi = oscillator_table(x_axis, dim) * np.exp(-1j * theta * np.arange(dim))[:, None]
     vals = np.einsum("jx,jk,kx->x", phi, rho_b, phi.conj()).real
-    return PhaseSpaceGrid(kind="quadrature", values=vals, x_axis=np.asarray(x_axis), theta=theta)
+    return PhaseSpaceGrid(values=vals, x_axis=np.asarray(x_axis))
 
 
 def wigner_marginal(rho_b, theta, x_axis, v_half_width=6.0, n_v=361):
@@ -186,4 +171,4 @@ def wigner_marginal(rho_b, theta, x_axis, v_half_width=6.0, n_v=361):
     eta = np.exp(1j * theta) * (u[:, None] + 1j * v[None, :])
     w = wigner_numeric_points(rho_b, eta)
     vals = np.trapezoid(w, v, axis=1) / np.sqrt(2.0)
-    return PhaseSpaceGrid(kind="quadrature", values=vals, x_axis=x_axis, theta=theta)
+    return PhaseSpaceGrid(values=vals, x_axis=x_axis)

@@ -2,9 +2,10 @@
 
 ``perfbench/traced.py`` replaces ``(module, attribute)`` entry points and the
 process-pool tasks of the CLI by name, and its probe calls two CLI helpers
-directly. A rename in the program would break the traced benchmark without
-failing any other test; these tests read the tracer's tables and make the
-probe's CLI calls on a small space.
+directly; its phase-space check conditions a state through the library. A
+rename in the program would break the benchmark without failing any other
+test; these tests read the tracer's tables and make those calls on a small
+space.
 """
 
 import importlib
@@ -14,7 +15,8 @@ import os
 import numpy as np
 import pytest
 
-from ckom import HilbertSpec, SystemParams, cli
+from ckom import (HilbertSpec, SystemParams, cli, condition_open_system, detection_time,
+                  evolve, initial_superposition_density, make_lindblad)
 
 TRACED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "traced.py")
@@ -56,3 +58,19 @@ def test_probe_cli_calls():
     for stats, err in analytic:
         assert (stats is None) == bool(err)
         assert stats is None or np.isfinite(stats.g2)
+
+
+def test_phase_space_conditioning_call():
+    # the phase-space check's call form: the plus branch picked by .sign from
+    # the conditioned lab-frame state at t_s, on a 2 x 20 space
+    params = SystemParams(g0=0.6, g_ck=0.15, kappa=0.1, gamma_m=0.01, omega_c=0.0)
+    spec = HilbertSpec(n_cav=2, n_mech=20)
+    t_s = detection_time(params)
+    ls = make_lindblad(params, spec, frame="lab")
+    dm = evolve(ls, initial_superposition_density(spec), np.array([0.0, t_s]))[-1]
+    plus = [c for c in condition_open_system(dm, t_s) if c.sign == "plus"]
+    assert len(plus) == 1
+    rho_b = plus[0].rho_b
+    assert rho_b.shape == (20, 20)
+    assert np.abs(rho_b - rho_b.conj().T).max() < 1e-12
+    assert abs(np.trace(rho_b) - 1.0) < 1e-12

@@ -16,6 +16,20 @@ TABLE_SINGLE = [0.594, -0.231, -1.056, -1.881, -2.706, -3.531]
 TABLE_TWO = [1.508, 1.183, 0.858, 0.533, -0.117, -1.092]
 
 
+def g2_at_resonances(p):
+    """Lamb-Dicke g2 at the single-photon (dc = delta_1) and two-photon
+    (dc = delta_2 / 2) resonances."""
+    return tuple(blockade.photon_stats_lamb_dicke(p.replace(delta_c=dc)).g2
+                 for dc in (delta_m(1, p), delta_m(2, p) / 2.0))
+
+
+def g2_resonance_closed_forms(p):
+    """The paper's closed forms of those two values: kappa^2 / [(2 d1 - d2)^2
+    + kappa^2] and its inverse [(d2 - 2 d1)^2 + kappa^2] / kappa^2."""
+    d1, d2, k = delta_m(1, p), delta_m(2, p), p.kappa
+    return k**2 / ((2.0 * d1 - d2) ** 2 + k**2), ((d2 - 2.0 * d1) ** 2 + k**2) / k**2
+
+
 class TestAmplitudes:
     def test_empty_cavity_lorentzian(self):
         p = SystemParams(g0=0.0, g_ck=0.0, kappa=0.1, drive_amp=0.001, delta_c=0.23)
@@ -27,7 +41,9 @@ class TestAmplitudes:
     def test_normalization_near_unity(self):
         p = FIG2.replace(delta_c=0.594)
         amps = blockade.longtime_amplitudes(p, SPEC)
-        assert abs(amps.norm - 1.0) < 1e-3   # O((drive/kappa)^2)
+        # the vacuum amplitude is delta_{n,0}
+        norm = 1.0 + np.sum(np.abs(amps.c1) ** 2) + np.sum(np.abs(amps.c2) ** 2)
+        assert abs(norm - 1.0) < 1e-3   # O((drive/kappa)^2)
 
     def test_tail_convergence_guard(self):
         # a tiny mechanical cutoff cannot hold the sidebands at strong coupling
@@ -57,7 +73,6 @@ class TestExactStats:
     def test_probability_ordering(self):
         stats = blockade.photon_stats_exact(FIG2.replace(delta_c=0.594), SPEC)
         assert stats.p0 > stats.p1 > stats.p2 > 0
-        assert stats.method == "exact-sideband"
 
     def test_coherent_limit(self):
         p = SystemParams(g0=0.0, g_ck=0.0, kappa=0.1, drive_amp=0.001, delta_c=0.3)
@@ -115,31 +130,29 @@ class TestExactStats:
 class TestLambDicke:
     def test_spr_hand_values(self):
         p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1)
-        assert np.isclose(blockade.g2_single_photon_resonance(p), 0.0029853, atol=1e-6)
+        assert np.isclose(g2_at_resonances(p)[0], 0.0029853, atol=1e-6)
         p0 = SystemParams(g0=0.7, g_ck=0.0, kappa=0.1)
         # kappa^2 / [(2 d1 - d2)^2 + kappa^2] = 0.01 / 0.9704
-        assert np.isclose(blockade.g2_single_photon_resonance(p0), 0.01 / 0.9704, rtol=1e-12)
+        assert np.isclose(g2_at_resonances(p0)[0], 0.01 / 0.9704, rtol=1e-12)
 
     def test_tpr_hand_value(self):
         p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1)
-        assert np.isclose(blockade.g2_two_photon_resonance(p), 334.98, atol=0.01)
+        assert np.isclose(g2_at_resonances(p)[1], 334.98, atol=0.01)
 
     def test_closed_form_matches_resonance_special_cases(self):
-        p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, drive_amp=0.001)
-        at_spr = blockade.photon_stats_lamb_dicke(p.replace(delta_c=delta_m(1, p)))
-        assert np.isclose(at_spr.g2, blockade.g2_single_photon_resonance(p), rtol=1e-12)
-        at_tpr = blockade.photon_stats_lamb_dicke(p.replace(delta_c=delta_m(2, p) / 2))
-        assert np.isclose(at_tpr.g2, blockade.g2_two_photon_resonance(p), rtol=1e-12)
+        for g0, g_ck, kappa in [(0.7, 0.175, 0.1), (0.5, 0.0, 0.2), (1.1, 0.3, 0.05)]:
+            p = SystemParams(g0=g0, g_ck=g_ck, kappa=kappa, drive_amp=0.001)
+            assert np.allclose(g2_at_resonances(p), g2_resonance_closed_forms(p),
+                               rtol=1e-12, atol=0.0)
 
     def test_spr_tpr_product_identity(self):
         for g0, g_ck, kappa in [(0.7, 0.175, 0.1), (0.5, 0.0, 0.2), (1.1, 0.3, 0.05)]:
-            p = SystemParams(g0=g0, g_ck=g_ck, kappa=kappa)
-            prod = blockade.g2_single_photon_resonance(p) * blockade.g2_two_photon_resonance(p)
-            assert abs(prod - 1.0) < 1e-12
+            spr, tpr = g2_at_resonances(SystemParams(g0=g0, g_ck=g_ck, kappa=kappa))
+            assert abs(spr * tpr - 1.0) < 1e-12
 
     def test_sub_poissonian_at_spr(self):
         p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1)
-        assert blockade.g2_single_photon_resonance(p) < 1.0
+        assert g2_at_resonances(p)[0] < 1.0
 
     def test_g2_is_drive_independent(self):
         p1 = FIG2.replace(delta_c=0.4)

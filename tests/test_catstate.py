@@ -6,7 +6,7 @@ import pytest
 
 from ckom.model import SystemParams
 from ckom.operators import HilbertSpec, propagator_factored
-from ckom import catstate
+from ckom import catstate, quasiprob
 from ckom.lindblad import make_lindblad, evolve
 from ckom.errors import DegenerateBranch, DegenerateCat, TruncationLoss
 
@@ -58,8 +58,11 @@ class TestSnapshot:
         assert not np.isfinite(snap.norm_minus)
 
     def test_degenerate_branch_raises_when_required(self):
-        with pytest.raises(DegenerateCat):
-            catstate.cat_snapshot(0.0, CAT, require="minus")
+        for require, error in (("minus", DegenerateCat), ("plu", ValueError)):
+            with pytest.raises(error):
+                catstate.cat_snapshot(0.0, CAT, require=require)
+        with pytest.raises(ValueError):
+            quasiprob.wigner_cat_analytic(T_S, "plu", CAT, np.zeros(1), np.zeros(1))
 
     def test_probabilities_sum_to_one(self):
         for t in np.linspace(0.0, 2.0 * T_S, 17):
@@ -70,8 +73,9 @@ class TestSnapshot:
         # P_pm = 1/(4 N_pm^2) wherever the branch is nondegenerate
         for t in (0.4, 1.1, T_S, 5.5):
             snap = catstate.cat_snapshot(t, CAT)
-            for sign in ("plus", "minus"):
-                assert np.isclose(snap.prob(sign), 0.25 / snap.norm(sign) ** 2, rtol=1e-12)
+            for prob, norm in ((snap.prob_plus, snap.norm_plus),
+                               (snap.prob_minus, snap.norm_minus)):
+                assert np.isclose(prob, 0.25 / norm**2, rtol=1e-12)
 
     def test_balanced_at_detection_time(self):
         snap = catstate.cat_snapshot(T_S, CAT)
@@ -163,7 +167,7 @@ class TestConditioning:
     def test_closed_probabilities_match_analytics(self, closed_run):
         p, t_grid, states = closed_run
         for t, dm in zip(t_grid, states):
-            p_plus, p_minus = catstate.branch_probabilities(dm)
+            p_plus, p_minus = (cond.prob for cond in catstate.condition_open_system(dm, t))
             snap = catstate.cat_snapshot(t, p)
             assert abs(p_plus - snap.prob_plus) < 1e-6
             assert abs(p_minus - snap.prob_minus) < 1e-6
@@ -179,14 +183,21 @@ class TestConditioning:
     def test_probabilities_sum_to_one_any_state(self, closed_run):
         _p, t_grid, states = closed_run
         for dm in states:
-            p_plus, p_minus = catstate.branch_probabilities(dm)
+            p_plus, p_minus = (cond.prob for cond in catstate.condition_open_system(dm))
             assert np.isclose(p_plus + p_minus, 1.0, atol=1e-8)
 
     def test_degenerate_branch_at_zero_time(self):
+        # the minus branch has no state at t = 0; the plus branch is the vacuum
         spec = HilbertSpec(2, 10)
         dm = catstate.initial_superposition_density(spec)
+        plus, minus = catstate.condition_open_system(dm, 0.0)
+        assert (plus.sign, minus.sign, minus.prob) == ("plus", "minus", 0.0)
+        assert np.isclose(plus.prob, 1.0, rtol=1e-15)
+        assert np.isclose(catstate.fidelity_vs_target(plus, 0.0, CAT), 1.0, rtol=1e-15)
         with pytest.raises(DegenerateBranch):
-            catstate.condition_open_system(dm, 0.0)
+            minus.rho_b
+        with pytest.raises(DegenerateBranch):
+            catstate.fidelity_vs_target(minus, 0.0, CAT)
 
     def test_fidelity_closed_form_equals_direct_contraction(self):
         spec = HilbertSpec(2, 60)

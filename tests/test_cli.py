@@ -200,8 +200,10 @@ class TestCat:
         p_minus = column(header, rows, "p_minus")
         assert np.allclose(p_plus + p_minus, 1.0, atol=1e-7)
         f_plus = column(header, rows, "f_plus")
-        assert np.isnan(f_plus[0])          # minus branch degenerate at t=0
-        assert np.all(f_plus[1:] <= 1.0 + 1e-9)
+        # at t = 0 the minus branch is degenerate and the plus branch the vacuum
+        assert np.isclose(f_plus[0], 1.0, rtol=1e-12)
+        assert np.isnan(column(header, rows, "f_minus")[0])
+        assert np.all(f_plus <= 1.0 + 1e-9)
         _c3, h3, r3 = read_csv(tmp_path / "cat.snapshot.csv")
         assert len(r3) == 1
         assert 0.0 < column(h3, r3, "f_plus")[0] <= 1.0
@@ -221,6 +223,22 @@ class TestPhaseSpace:
         w = column(header, rows, "w")
         center = w[(re == 0.0) & (im == 0.0)]
         assert np.isclose(center[0], 0.63662, atol=1e-5)
+
+    def test_numeric_wigner_at_zero_time(self, tmp_path, capsys):
+        # the plus branch of the initial state is the mechanical vacuum; the
+        # minus branch has probability 0 and no state
+        argv = ["wigner", "--numeric", "--time", "0", "--n-mech", "10",
+                "--re-min", "-1.0", "--re-max", "1.5", "--n-re", "6",
+                "--im-min", "-1.0", "--im-max", "1.0", "--n-im", "5"]
+        out = tmp_path / "w.csv"
+        assert main(argv + ["--branch", "plus", "--out", str(out)]) == 0
+        _c, header, rows = read_csv(out)
+        eta2 = column(header, rows, "re_eta") ** 2 + column(header, rows, "im_eta") ** 2
+        vacuum = 2.0 / np.pi * np.exp(-2.0 * eta2)
+        # equal to all 9 printed digits
+        assert column(header, rows, "w", as_float=False) == [f"{w:.9g}" for w in vacuum]
+        assert main(argv + ["--branch", "minus", "--out", str(tmp_path / "m.csv")]) == 2
+        assert "DegenerateBranch" in capsys.readouterr().err
 
     def test_quadrature_analytic_vs_numeric_roundtrip(self, tmp_path):
         common = ["--x-min", "-2.0", "--x-max", "4.0", "--n-x", "31",

@@ -144,6 +144,16 @@ class TestEvolve:
         fidelity = np.real(psi_t.conj() @ rho_t @ psi_t)
         assert fidelity >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize("t_grid", [[0.0], [0.0, 0.0], [1.5, 1.5, 1.5]])
+    def test_grid_that_does_not_advance_returns_initial_state(self, t_grid):
+        spec = HilbertSpec(2, 6)
+        p = SystemParams(g0=0.6, g_ck=0.15, omega_c=5.0, kappa=0.1, gamma_m=0.02)
+        rho0 = 2.0 * fock_density(spec, 1, 2).rho  # returned trace-normalized
+        states = evolve(make_lindblad(p, spec, frame="lab"), rho0, t_grid)
+        assert len(states) == len(t_grid)
+        for dm in states:
+            assert np.array_equal(dm.rho, fock_density(spec, 1, 2).rho)
+
     def test_pure_cavity_decay_curve(self):
         spec = HilbertSpec(3, 3)
         p = SystemParams(g0=0.0, g_ck=0.0, kappa=0.25)
