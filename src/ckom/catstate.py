@@ -11,7 +11,7 @@ import numpy as np
 
 from .model import effective_mech_freq
 from .lindblad import DensityMatrix
-from .errors import DegenerateBranch, DegenerateCat, TruncationLoss
+from .errors import DegenerateBranch, TruncationLoss
 
 _DEGENERACY_FLOOR = 1e-12
 
@@ -23,13 +23,8 @@ class CatSnapshot:
     t: float
     beta: complex
     theta: float
-    norm_plus: float
-    norm_minus: float
     prob_plus: float
     prob_minus: float
-
-    def norm(self, sign):
-        return self.norm_plus if _sign_factor(sign) > 0 else self.norm_minus
 
 
 @dataclass(frozen=True)
@@ -68,42 +63,26 @@ def beta_theta(t, params):
     return complex(beta), float(theta)
 
 
-def _sign_factor(sign):
-    if sign == "plus":
-        return 1.0
-    if sign == "minus":
-        return -1.0
-    raise ValueError(f"branch must be 'plus' or 'minus', got {sign!r}")
-
-
-def cat_snapshot(t, params, require=None):
-    """Norms and detection probabilities of both cat branches at time t.
-
-    A branch whose norm diverges (probability exactly 0, e.g. the minus
-    branch at t = 0) is reported with ``inf`` norm; pass ``require`` to raise
-    DegenerateCat when that branch is the one you need.
-    """
+def cat_snapshot(t, params):
+    """beta, theta and the detection probabilities
+    P_pm = (1 +/- cos(theta) e^{-|beta|^2/2}) / 2 of both cat branches at
+    time t, defined at every t (P_- = 0 at t = 0)."""
     beta, theta = beta_theta(t, params)
     overlap = np.cos(theta) * np.exp(-0.5 * abs(beta) ** 2)
-    norms = {}
-    probs = {}
-    for sign in ("plus", "minus"):
-        s = _sign_factor(sign)
-        val = 1.0 + s * overlap
-        probs[sign] = 0.5 * val
-        norms[sign] = (2.0 * val) ** -0.5 if val > _DEGENERACY_FLOOR else np.inf
-    snap = CatSnapshot(
-        t=t,
-        beta=beta,
-        theta=theta,
-        norm_plus=norms["plus"],
-        norm_minus=norms["minus"],
-        prob_plus=probs["plus"],
-        prob_minus=probs["minus"],
-    )
-    if require is not None and not np.isfinite(snap.norm(require)):
-        raise DegenerateCat(f"{require} branch has vanishing norm at t = {t}")
-    return snap
+    return CatSnapshot(t=t, beta=beta, theta=theta,
+                       prob_plus=0.5 * (1.0 + overlap), prob_minus=0.5 * (1.0 - overlap))
+
+
+def _ideal_branch(t, sign, params):
+    """(s, beta, theta, N) of the ideal branch N (|0> + s e^{i theta} |beta>)
+    with N = (4 P)^{-1/2}; raises DegenerateBranch where P is below 1e-12."""
+    if sign not in ("plus", "minus"):
+        raise ValueError(f"branch must be 'plus' or 'minus', got {sign!r}")
+    snap = cat_snapshot(t, params)
+    s, prob = (1.0, snap.prob_plus) if sign == "plus" else (-1.0, snap.prob_minus)
+    if prob < _DEGENERACY_FLOOR:
+        raise DegenerateBranch(f"ideal {sign} branch probability {prob:.2e} at t = {t}")
+    return s, snap.beta, snap.theta, (4.0 * prob) ** -0.5
 
 
 def coherent_coefficients(beta, n_mech):
@@ -116,17 +95,19 @@ def coherent_coefficients(beta, n_mech):
 
 
 def cat_state_vector(t, sign, params, n_mech):
-    """Normalized Fock-space vector N_pm (|0> +/- e^{i theta} |beta>)."""
-    snap = cat_snapshot(t, params, require=sign)
-    coeff = coherent_coefficients(snap.beta, n_mech)
+    """Normalized Fock-space vector N_pm (|0> +/- e^{i theta} |beta>) on
+    n_mech levels. Raises DegenerateBranch where the branch vanishes and
+    TruncationLoss where |beta> does not fit in n_mech levels."""
+    s, beta, theta, norm = _ideal_branch(t, sign, params)
+    coeff = coherent_coefficients(beta, n_mech)
     tail = 1.0 - float(np.sum(np.abs(coeff) ** 2))
     if tail > 1e-8:
         raise TruncationLoss(
             f"coherent tail beyond n_mech={n_mech} carries {tail:.2e} probability"
         )
-    vec = _sign_factor(sign) * np.exp(1j * snap.theta) * coeff
+    vec = s * np.exp(1j * theta) * coeff
     vec[0] += 1.0
-    return snap.norm(sign) * vec
+    return norm * vec
 
 
 def initial_superposition_density(spec):
@@ -163,8 +144,8 @@ def condition_open_system(dm, t=np.nan):
 def fidelity_vs_target(cond, t, params):
     """Fidelity <Phi|rho_b|Phi> of a conditioned state with its ideal cat
     branch, Phi = cat_state_vector(t, cond.sign, params, n) on the cutoff n
-    of rho_b. Raises DegenerateBranch for a branch of vanishing probability
-    and DegenerateCat where the ideal branch itself vanishes."""
+    of rho_b. Raises DegenerateBranch where either the conditioned branch or
+    the ideal one has probability below 1e-12."""
     rho_b = cond.rho_b
     vec = cat_state_vector(t, cond.sign, params, rho_b.shape[0])
     return float(np.real(vec.conj() @ rho_b @ vec))

@@ -25,7 +25,7 @@ from .model import SystemParams, delta_m, optimal_detuning, resonance_curve_g0
 from .operators import HilbertSpec, build_h_gom, expm, propagator_factored, propagator_factors
 from .specfun import displacement_matrix, safe_interior_dim
 from .lindblad import make_lindblad, steady_state, evolve, observables
-from .errors import DegenerateBranch, DegenerateCat, NumericalError
+from .errors import DegenerateBranch, NumericalError
 
 _NUMERICAL_ERRORS = (NumericalError, np.linalg.LinAlgError)
 
@@ -178,6 +178,12 @@ def _attempt(func, *args, failed=np.nan):
         return failed, _failure(exc)
 
 
+def _require_decay(params):
+    """The master-equation route needs a unique steady state, so kappa > 0."""
+    if params.kappa <= 0:
+        _usage_error(f"kappa = {params.kappa:g}: the master-equation route needs kappa > 0")
+
+
 def _steady_g2(params, n_cav, n_mech, method):
     """g2 of the driven steady state at one parameter point."""
     ls = make_lindblad(params, HilbertSpec(n_cav=n_cav, n_mech=n_mech), frame="rotating")
@@ -235,6 +241,8 @@ def _detuning_sweep(args, config, params, spec, numeric):
         _usage_error(f"detuning_step = {step:g} does not divide "
                      f"detuning_max - detuning_min = {hi:g} - {lo:g}")
     detunings = np.linspace(lo, hi, int(round(steps)) + 1)
+    if numeric:
+        _require_decay(params)
     config["numeric"] = numeric
     analytic = g2_analytic_sweep(params, spec, detunings)
     if not numeric:
@@ -308,6 +316,8 @@ def _map_task(task):
 
 
 def cmd_blockade_map(args, config, params, spec):
+    if args.numeric:
+        _require_decay(params)
     gck_axis = _axis(config, "gck", "gck_steps")
     points = [(g0, gck) for g0 in _axis(config, "g0", "g0_steps") for gck in gck_axis]
     tasks = [
@@ -335,20 +345,21 @@ def _derived_path(path, tag):
     return f"{path}.{tag}.csv" if not path.endswith(".csv") else f"{path[:-4]}.{tag}.csv"
 
 
-def _snapshot_time(config, params):
-    """The config's snapshot "time", by default the detection time t_s;
-    the resolved value replaces it in the config, so the CSV echoes it."""
-    t = config["time"]
-    config["time"] = t = catstate.detection_time(params) if t is None else t
-    return t
+def _non_negative(config, key, default=None):
+    """The config's ``key``, ``default`` when unset, resolved into the config
+    so the CSV echoes it. The cat starts at t = 0: a negative time, t_max or
+    t_steps is a usage error."""
+    value = config[key] = default if config[key] is None else config[key]
+    if value < 0:
+        _usage_error(f"{key} = {value:g} must be non-negative")
+    return value
 
 
 def cmd_cat(args, config, params, spec):
-    t_max = config["t_max"]
-    t_max = 2.0 * catstate.detection_time(params) if t_max is None else t_max
-    config["t_max"] = t_max
-    t_grid = np.linspace(0.0, t_max, config["t_steps"])
-    t_snap = _snapshot_time(config, params)
+    t_s = catstate.detection_time(params)
+    t_max = _non_negative(config, "t_max", 2.0 * t_s)
+    t_grid = np.linspace(0.0, t_max, _non_negative(config, "t_steps"))
+    t_snap = _non_negative(config, "time", t_s)
     snap_path = _derived_path(args.out, "snapshot")
 
     if args.mode == "closed":
@@ -362,7 +373,8 @@ def cmd_cat(args, config, params, spec):
         return 0
 
     rho0 = catstate.initial_superposition_density(spec)
-    eval_times = np.unique(np.concatenate([t_grid, [t_snap]]))
+    # rho0 is the state at t = 0, whichever times are reported
+    eval_times = np.unique(np.concatenate([[0.0], t_grid, [t_snap]]))
     # a <rate>_list config key sweeps that rate
     rates = [[float(v) for v in np.atleast_1d(config.get(f"{key}_list", config[key]))]
              for key in ("kappa", "gamma_m", "nbar_m")]
@@ -377,7 +389,7 @@ def cmd_cat(args, config, params, spec):
             for cond in branches:  # a degenerate branch leaves only its own fidelity empty
                 try:
                     row.append(catstate.fidelity_vs_target(cond, t, point))
-                except (DegenerateBranch, DegenerateCat):
+                except DegenerateBranch:
                     row.append(np.nan)
             if t in t_grid:
                 rows.append(row)
@@ -393,7 +405,7 @@ def _snapshot(args, config, params, spec):
     """Snapshot time (default t_s), echoed with the branch and --numeric,
     and with --numeric the open-system state conditioned on the branch at
     that time (else None)."""
-    t = _snapshot_time(config, params)
+    t = _non_negative(config, "time", catstate.detection_time(params))
     config.update(branch=args.branch, numeric=bool(args.numeric))
     if not args.numeric:
         return t, None

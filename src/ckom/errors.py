@@ -26,12 +26,9 @@ class ZeroPhotonNumber(NumericalError, ArithmeticError):
     """g2 is undefined because the mean photon number is numerically zero."""
 
 
-class DegenerateCat(NumericalError, ArithmeticError):
-    """The requested cat branch has vanishing norm at this time."""
-
-
 class DegenerateBranch(NumericalError, ArithmeticError):
-    """The requested measurement branch has vanishing probability."""
+    """The requested cat branch, ideal or conditioned on a cavity |+/->
+    detection, has probability below 1e-12, so it has no normalized state."""
 
 
 class TruncationLoss(NumericalError, RuntimeError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .catstate import _sign_factor, beta_theta, cat_snapshot, cat_state_vector
+from .catstate import _ideal_branch, beta_theta, cat_state_vector
 from .specfun import laguerre_rows, log_factorial
 from .errors import TruncationLoss
 
@@ -24,31 +24,26 @@ _TERM_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Sampled Wigner function or quadrature distribution with its axes."""
+    """Sampled Wigner function or quadrature distribution on the caller's axes."""
 
     values: np.ndarray             # (n_re, n_im) for wigner, (n_x,) for quadrature
-    re_axis: np.ndarray = None
-    im_axis: np.ndarray = None
-    x_axis: np.ndarray = None
 
 
 def wigner_cat_points(t, sign, params, eta):
     """Analytic cat-branch Wigner function at arbitrary complex points."""
-    snap = cat_snapshot(t, params, require=sign)
+    s, beta, theta, norm = _ideal_branch(t, sign, params)
     eta = np.asarray(eta, dtype=complex)
-    beta = snap.beta
-    s = _sign_factor(sign)
     gauss0 = np.exp(-2.0 * np.abs(eta) ** 2)
     gauss1 = np.exp(-2.0 * np.abs(beta - eta) ** 2)
     cross = np.exp(-0.5 * abs(beta) ** 2 + 2.0 * np.conj(beta) * eta - 2.0 * np.abs(eta) ** 2)
-    interference = 2.0 * np.real(np.exp(-1j * snap.theta) * cross)
-    return (2.0 * snap.norm(sign) ** 2 / np.pi) * (gauss0 + gauss1 + s * interference)
+    interference = 2.0 * np.real(np.exp(-1j * theta) * cross)
+    return (2.0 * norm**2 / np.pi) * (gauss0 + gauss1 + s * interference)
 
 
 def wigner_cat_analytic(t, sign, params, re_axis, im_axis):
     eta = re_axis[:, None] + 1j * im_axis[None, :]
     vals = wigner_cat_points(t, sign, params, eta)
-    return PhaseSpaceGrid(values=vals, re_axis=re_axis, im_axis=im_axis)
+    return PhaseSpaceGrid(values=vals)
 
 
 def _check_truncation(rho_b):
@@ -105,7 +100,7 @@ def wigner_numeric_points(rho_b, eta):
 def wigner_numeric(rho_b, re_axis, im_axis):
     eta = re_axis[:, None] + 1j * im_axis[None, :]
     vals = wigner_numeric_points(rho_b, eta)
-    return PhaseSpaceGrid(values=vals, re_axis=re_axis, im_axis=im_axis)
+    return PhaseSpaceGrid(values=vals)
 
 
 def oscillator_table(x, n_levels):
@@ -145,7 +140,7 @@ def quadrature_dist_cat(t, sign, theta, params, x_axis):
     n_levels = _coherent_levels(beta_theta(t, params)[0])
     phi = cat_state_vector(t, sign, params, n_levels) * np.exp(-1j * theta * np.arange(n_levels))
     vals = np.abs(phi @ oscillator_table(x_axis, n_levels)) ** 2
-    return PhaseSpaceGrid(values=vals, x_axis=np.asarray(x_axis))
+    return PhaseSpaceGrid(values=vals)
 
 
 def quadrature_dist_numeric(rho_b, theta, x_axis):
@@ -156,7 +151,7 @@ def quadrature_dist_numeric(rho_b, theta, x_axis):
     dim = rho_b.shape[0]
     phi = oscillator_table(x_axis, dim) * np.exp(-1j * theta * np.arange(dim))[:, None]
     vals = np.einsum("jx,jk,kx->x", phi, rho_b, phi.conj()).real
-    return PhaseSpaceGrid(values=vals, x_axis=np.asarray(x_axis))
+    return PhaseSpaceGrid(values=vals)
 
 
 def wigner_marginal(rho_b, theta, x_axis, v_half_width=6.0, n_v=361):
@@ -165,10 +160,9 @@ def wigner_marginal(rho_b, theta, x_axis, v_half_width=6.0, n_v=361):
     used as a cross-check): P(q) = 2^{-1/2} integral W(e^{i theta}(u + i v)) dv
     with u = q/sqrt(2)."""
     rho_b = np.asarray(rho_b)
-    x_axis = np.asarray(x_axis, dtype=float)
     v = np.linspace(-v_half_width, v_half_width, n_v)
-    u = x_axis / np.sqrt(2.0)
+    u = np.asarray(x_axis, dtype=float) / np.sqrt(2.0)
     eta = np.exp(1j * theta) * (u[:, None] + 1j * v[None, :])
     w = wigner_numeric_points(rho_b, eta)
     vals = np.trapezoid(w, v, axis=1) / np.sqrt(2.0)
-    return PhaseSpaceGrid(values=vals, x_axis=x_axis)
+    return PhaseSpaceGrid(values=vals)

@@ -240,11 +240,9 @@ class TestCriterion6:
             worst = max(worst, float(np.abs(analytic.values - numeric.values).max()))
 
         # normalization judged on a grid covering the state plus five widths
-        wide = quasiprob.wigner_cat_analytic(
-            T_S, "plus", CAT, np.linspace(-3.0, 6.5, 191), np.linspace(-3.0, 3.0, 121)
-        )
-        norm_dev = abs(np.trapezoid(np.trapezoid(wide.values, wide.im_axis, axis=1),
-                                    wide.re_axis) - 1.0)
+        wide_re, wide_im = np.linspace(-3.0, 6.5, 191), np.linspace(-3.0, 3.0, 121)
+        wide = quasiprob.wigner_cat_analytic(T_S, "plus", CAT, wide_re, wide_im)
+        norm_dev = abs(np.trapezoid(np.trapezoid(wide.values, wide_im, axis=1), wide_re) - 1.0)
 
         vec = catstate.cat_state_vector(T_S, "plus", CAT, CAT_SPEC.n_mech)
         rho_cat = np.outer(vec, vec.conj())

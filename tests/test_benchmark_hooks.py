@@ -2,7 +2,8 @@
 
 ``perfbench/traced.py`` replaces ``(module, attribute)`` entry points and the
 process-pool tasks of the CLI by name, and its probe calls two CLI helpers
-directly; its phase-space check conditions a state through the library. A
+directly; its phase-space check conditions a state through the library and
+probes the fidelity, Wigner and quadrature calls on it. A
 rename in the program would break the benchmark without failing any other
 test; these tests read the tracer's tables and make those calls on a small
 space.
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from ckom import (HilbertSpec, SystemParams, cli, condition_open_system, detection_time,
-                  evolve, initial_superposition_density, make_lindblad)
+                  evolve, fidelity_vs_target, initial_superposition_density, make_lindblad,
+                  quadrature_dist_numeric, wigner_numeric)
 
 TRACED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "traced.py")
@@ -60,17 +62,35 @@ def test_probe_cli_calls():
         assert stats is None or np.isfinite(stats.g2)
 
 
-def test_phase_space_conditioning_call():
-    # the phase-space check's call form: the plus branch picked by .sign from
-    # the conditioned lab-frame state at t_s, on a 2 x 20 space
+@pytest.fixture(scope="module")
+def conditioned():
+    # the lab-frame state at t_s conditioned on both branches, on a 2 x 20 space
     params = SystemParams(g0=0.6, g_ck=0.15, kappa=0.1, gamma_m=0.01, omega_c=0.0)
     spec = HilbertSpec(n_cav=2, n_mech=20)
     t_s = detection_time(params)
     ls = make_lindblad(params, spec, frame="lab")
     dm = evolve(ls, initial_superposition_density(spec), np.array([0.0, t_s]))[-1]
-    plus = [c for c in condition_open_system(dm, t_s) if c.sign == "plus"]
+    return params, t_s, condition_open_system(dm, t_s)
+
+
+def test_phase_space_conditioning_call(conditioned):
+    # the phase-space check's call form: the plus branch picked by .sign
+    _params, _t_s, branches = conditioned
+    plus = [c for c in branches if c.sign == "plus"]
     assert len(plus) == 1
     rho_b = plus[0].rho_b
     assert rho_b.shape == (20, 20)
     assert np.abs(rho_b - rho_b.conj().T).max() < 1e-12
     assert abs(np.trace(rho_b) - 1.0) < 1e-12
+
+
+def test_probe_library_calls(conditioned):
+    # the probe's library calls in their call forms, and the result fields
+    # the tracer reads (Tracer._after_wigner counts wigner_numeric(...).values)
+    params, t_s, (plus, _minus) = conditioned
+    fidelity = fidelity_vs_target(plus, t_s, params)
+    assert np.isfinite(fidelity) and 0.0 < fidelity <= 1.0
+    re, im = np.linspace(-1.0, 2.0, 5), np.linspace(-1.0, 1.0, 4)
+    assert wigner_numeric(plus.rho_b, re, im).values.size == re.size * im.size
+    x = np.linspace(-3.0, 3.0, 51)
+    assert quadrature_dist_numeric(plus.rho_b, 0.0, x).values.shape == x.shape

@@ -8,10 +8,17 @@ from ckom.model import SystemParams
 from ckom.operators import HilbertSpec, propagator_factored
 from ckom import catstate, quasiprob
 from ckom.lindblad import make_lindblad, evolve
-from ckom.errors import DegenerateBranch, DegenerateCat, TruncationLoss
+from ckom.errors import DegenerateBranch, TruncationLoss
 
 CAT = SystemParams(g0=1.2, g_ck=0.3, omega_c=100.0)
 T_S = np.pi / 0.7
+
+
+def paper_norms(t, params):
+    """N_pm = (4 P_pm)^{-1/2} from the paper's P_pm = (1 +/- cos(theta) e^{-|beta|^2/2}) / 2."""
+    beta, theta = catstate.beta_theta(t, params)
+    overlap = np.cos(theta) * np.exp(-0.5 * abs(beta) ** 2)
+    return (2.0 * (1.0 + overlap)) ** -0.5, (2.0 * (1.0 - overlap)) ** -0.5
 
 
 class TestBetaTheta:
@@ -55,14 +62,19 @@ class TestSnapshot:
     def test_initial_state_detects_plus(self):
         snap = catstate.cat_snapshot(0.0, CAT)
         assert snap.prob_plus == 1.0 and snap.prob_minus == 0.0
-        assert not np.isfinite(snap.norm_minus)
 
     def test_degenerate_branch_raises_when_required(self):
-        for require, error in (("minus", DegenerateCat), ("plu", ValueError)):
-            with pytest.raises(error):
-                catstate.cat_snapshot(0.0, CAT, require=require)
-        with pytest.raises(ValueError):
-            quasiprob.wigner_cat_analytic(T_S, "plu", CAT, np.zeros(1), np.zeros(1))
+        # the ideal minus branch has no state at t = 0, on every closed-form route
+        calls = (
+            lambda sign, t: catstate.cat_state_vector(t, sign, CAT, 20),
+            lambda sign, t: quasiprob.wigner_cat_analytic(t, sign, CAT, np.zeros(1), np.zeros(1)),
+            lambda sign, t: quasiprob.quadrature_dist_cat(t, sign, 0.0, CAT, np.zeros(1)),
+        )
+        for call in calls:
+            with pytest.raises(DegenerateBranch):
+                call("minus", 0.0)
+            with pytest.raises(ValueError):
+                call("plu", T_S)
 
     def test_probabilities_sum_to_one(self):
         for t in np.linspace(0.0, 2.0 * T_S, 17):
@@ -70,12 +82,19 @@ class TestSnapshot:
             assert np.isclose(snap.prob_plus + snap.prob_minus, 1.0, rtol=1e-14)
 
     def test_norm_probability_identity(self):
-        # P_pm = 1/(4 N_pm^2) wherever the branch is nondegenerate
+        # P_pm = 1/(4 N_pm^2) wherever the branch is nondegenerate: the
+        # vector is N_pm (|0> +/- e^{i theta} |beta>) with the paper's N_pm
         for t in (0.4, 1.1, T_S, 5.5):
             snap = catstate.cat_snapshot(t, CAT)
-            for prob, norm in ((snap.prob_plus, snap.norm_plus),
-                               (snap.prob_minus, snap.norm_minus)):
+            coherent = catstate.coherent_coefficients(snap.beta, 60)
+            norm_plus, norm_minus = paper_norms(t, CAT)
+            for sign, s, prob, norm in (("plus", 1.0, snap.prob_plus, norm_plus),
+                                        ("minus", -1.0, snap.prob_minus, norm_minus)):
                 assert np.isclose(prob, 0.25 / norm**2, rtol=1e-12)
+                raw = s * np.exp(1j * snap.theta) * coherent
+                raw[0] += 1.0
+                vec = catstate.cat_state_vector(t, sign, CAT, 60)
+                assert np.abs(vec - norm * raw).max() < 1e-12
 
     def test_balanced_at_detection_time(self):
         snap = catstate.cat_snapshot(T_S, CAT)
@@ -99,13 +118,14 @@ class TestCatVector:
         for t in (0.9, 2.2, T_S):
             vp = catstate.cat_state_vector(t, "plus", CAT, 60)
             vm = catstate.cat_state_vector(t, "minus", CAT, 60)
-            snap = catstate.cat_snapshot(t, CAT)
+            beta, theta = catstate.beta_theta(t, CAT)
+            norm_plus, norm_minus = paper_norms(t, CAT)
             expected = (
                 -2j
-                * snap.norm_plus
-                * snap.norm_minus
-                * np.sin(snap.theta)
-                * np.exp(-0.5 * abs(snap.beta) ** 2)
+                * norm_plus
+                * norm_minus
+                * np.sin(theta)
+                * np.exp(-0.5 * abs(beta) ** 2)
             )
             assert np.isclose(np.vdot(vp, vm), expected, rtol=0, atol=1e-10)
 

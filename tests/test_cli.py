@@ -143,6 +143,18 @@ class TestBlockadeSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["blockade-sweep", "--numeric"], ["table1"],
+        ["blockade-map", "--numeric", "--jobs", "2"]])
+    def test_master_equation_route_needs_decay(self, argv, tmp_path, capsys):
+        # a unique driven steady state needs kappa > 0; refused before any point
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--kappa", "0", "--out", str(out)])
+        assert err.value.code == 1
+        assert "ckom: error: kappa = 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_and_continue(self, tmp_path):
         # g_ck beyond omega_m/m_max: every point fails but the run completes
         out = tmp_path / "sweep.csv"
@@ -208,6 +220,34 @@ class TestCat:
         assert len(r3) == 1
         assert 0.0 < column(h3, r3, "f_plus")[0] <= 1.0
 
+    def test_open_evolution_starts_at_zero_time(self, tmp_path):
+        # rho0 is the state at t = 0 however few grid times are asked for:
+        # without a grid, the snapshot at t_s still evolves from t = 0
+        argv = ["cat", "--mode", "open", "--n-mech", "20", "--omega-c", "5",
+                "--g0", "0.5", "--g-ck", "0.1"]
+        snapshots = []
+        for steps in ("0", "3"):
+            out = tmp_path / f"cat{steps}.csv"
+            assert main(argv + ["--t-steps", steps, "--out", str(out)]) == 0
+            _c, header, rows = read_csv(tmp_path / f"cat{steps}.snapshot.csv")
+            snapshots.append(np.array([[float(v) for v in row] for row in rows]))
+        assert len(read_csv(tmp_path / "cat0.csv")[2]) == 0
+        assert snapshots[0].shape == snapshots[1].shape == (1, len(header))
+        assert np.allclose(snapshots[0], snapshots[1], rtol=0, atol=1e-7)
+        assert snapshots[0][0, header.index("p_plus")] < 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["cat", "--mode", "open", "--time", "-1"], ["cat", "--mode", "open", "--t-max", "-1"],
+        ["cat", "--t-steps", "-1"], ["cat", "--time", "-1"],
+        ["wigner", "--numeric", "--time", "-1"], ["quadrature", "--time", "-1"]])
+    def test_negative_times_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--n-mech", "20", "--out", str(out)])
+        assert err.value.code == 1
+        assert "ckom: error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPhaseSpace:
     def test_wigner_vacuum_value(self, tmp_path):
@@ -238,6 +278,14 @@ class TestPhaseSpace:
         # equal to all 9 printed digits
         assert column(header, rows, "w", as_float=False) == [f"{w:.9g}" for w in vacuum]
         assert main(argv + ["--branch", "minus", "--out", str(tmp_path / "m.csv")]) == 2
+        assert "DegenerateBranch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["wigner", "quadrature"])
+    def test_closed_form_degenerate_branch_names_one_error(self, command, tmp_path, capsys):
+        # the ideal minus branch vanishes at t = 0; the closed-form route names
+        # the same error as the conditioned branch of --numeric
+        argv = [command, "--time", "0", "--branch", "minus", "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 2
         assert "DegenerateBranch" in capsys.readouterr().err
 
     def test_quadrature_analytic_vs_numeric_roundtrip(self, tmp_path):

@@ -10,7 +10,6 @@ BUILTIN_BASE = {
     "NonConvergence": RuntimeError,
     "StepSizeUnderflow": RuntimeError,
     "ZeroPhotonNumber": ArithmeticError,
-    "DegenerateCat": ArithmeticError,
     "DegenerateBranch": ArithmeticError,
     "TruncationLoss": RuntimeError,
     "SolverFallback": RuntimeWarning,
