@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import delta_m, effective_mech_freq, xi_m
 from .specfun import displacement_matrix
-from .errors import NonConvergedSum
+from .errors import NonConvergedSum, ZeroPhotonNumber
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,14 @@ def longtime_amplitudes(params, spec):
 
     Returns an AmplitudeTable with c1, c2 the one- and two-photon sideband
     amplitudes, the resonance denominators broadened by kappa/2 and kappa;
-    the vacuum amplitude stays delta_{n,0} at this order.
+    the vacuum amplitude stays delta_{n,0} at this order. Raises ValueError
+    without cavity decay, where they have no long-time limit.
     """
-    if params.kappa > 0 and params.drive_amp / params.kappa > 0.1:
+    if params.kappa <= 0:
+        raise ValueError("long-time amplitudes need kappa > 0")
+    if abs(params.drive_amp) / params.kappa > 0.1:
         warnings.warn(
-            "drive_amp/kappa > 0.1: the weak-driving expansion is unreliable",
+            "|drive_amp|/kappa > 0.1: the weak-driving expansion is unreliable",
             stacklevel=2,
         )
     nm = spec.n_mech
@@ -90,6 +93,8 @@ def photon_stats_exact(params, spec):
     """Exact-sideband P1, P2 and g2 from the long-time amplitudes."""
     amps = longtime_amplitudes(params, spec)
     p1 = float(np.sum(np.abs(amps.c1) ** 2))
+    if p1 == 0.0:
+        raise ZeroPhotonNumber("one-photon probability is 0; g2 undefined")
     p2 = float(np.sum(np.abs(amps.c2) ** 2))
     return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=2.0 * p2 / p1**2)
 

@@ -179,9 +179,9 @@ def _attempt(func, *args, failed=np.nan):
 
 
 def _require_decay(params):
-    """The master-equation route needs a unique steady state, so kappa > 0."""
+    """Every blockade result is a driven steady state, so needs kappa > 0."""
     if params.kappa <= 0:
-        _usage_error(f"kappa = {params.kappa:g}: the master-equation route needs kappa > 0")
+        _usage_error(f"kappa = {params.kappa:g}: the driven steady state needs kappa > 0")
 
 
 def _steady_g2(params, n_cav, n_mech, method):
@@ -241,8 +241,7 @@ def _detuning_sweep(args, config, params, spec, numeric):
         _usage_error(f"detuning_step = {step:g} does not divide "
                      f"detuning_max - detuning_min = {hi:g} - {lo:g}")
     detunings = np.linspace(lo, hi, int(round(steps)) + 1)
-    if numeric:
-        _require_decay(params)
+    _require_decay(params)
     config["numeric"] = numeric
     analytic = g2_analytic_sweep(params, spec, detunings)
     if not numeric:
@@ -316,8 +315,7 @@ def _map_task(task):
 
 
 def cmd_blockade_map(args, config, params, spec):
-    if args.numeric:
-        _require_decay(params)
+    _require_decay(params)
     gck_axis = _axis(config, "gck", "gck_steps")
     points = [(g0, gck) for g0 in _axis(config, "g0", "g0_steps") for gck in gck_axis]
     tasks = [

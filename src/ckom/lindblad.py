@@ -18,8 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .operators import (HilbertSpec, build_h_driven, build_h_gom, build_mode_operators,
-                        destroy)
+from .operators import HilbertSpec, build_h_gom, build_mode_operators, destroy
 from .errors import NonConvergence, SolverFallback, StepSizeUnderflow, ZeroPhotonNumber
 
 
@@ -31,13 +30,15 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian matrix on ``spec`` and the rates of the standard decay
-    channels: ``kappa`` on a, ``gamma_down`` = gamma_m (nbar+1) on b and
-    ``gamma_up`` = gamma_m nbar on b+. ``omega_c`` is the frame's a+a
-    frequency: 0 in the rotating frame, whose drive does not commute with a+a."""
+    """Hamiltonian ``hamiltonian`` + ``drive`` (a+ + a) on ``spec``, the matrix
+    its photon-number-conserving part, and the rates of the decay channels:
+    ``kappa`` on a, ``gamma_down`` = gamma_m (nbar+1) on b and ``gamma_up`` =
+    gamma_m nbar on b+. ``omega_c`` is the frame's a+a frequency: 0 in the
+    rotating frame, whose drive does not commute with a+a."""
 
     spec: HilbertSpec
     hamiltonian: np.ndarray
+    drive: float
     kappa: float
     gamma_down: float
     gamma_up: float
@@ -45,16 +46,17 @@ class LindbladSpec:
 
 
 def make_lindblad(params, spec, frame="rotating"):
-    """Standard dissipation channels around the driven rotating-frame
-    Hamiltonian (``frame="rotating"``) or the undriven lab-frame one
-    (``frame="lab"``, used for the cat-state runs)."""
+    """Standard dissipation channels around the rotating-frame Hamiltonian,
+    detuned by delta_c and driven by drive_amp (``frame="rotating"``), or the
+    undriven lab-frame one (``frame="lab"``, used for the cat-state runs)."""
     if frame == "rotating":
-        h, omega_c = build_h_driven(spec, params), 0.0
+        h = build_h_gom(spec, params.replace(omega_c=params.delta_c))
+        drive, omega_c = params.drive_amp, 0.0
     elif frame == "lab":
-        h, omega_c = build_h_gom(spec, params), params.omega_c
+        h, drive, omega_c = build_h_gom(spec, params), 0.0, params.omega_c
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    return LindbladSpec(spec=spec, hamiltonian=h, kappa=params.kappa,
+    return LindbladSpec(spec=spec, hamiltonian=h, drive=drive, kappa=params.kappa,
                         gamma_down=params.gamma_m * (params.nbar_m + 1.0),
                         gamma_up=params.gamma_m * params.nbar_m, omega_c=omega_c)
 
@@ -72,15 +74,15 @@ def _as_matrix(rho):
 class _BlockGenerator:
     """The master equation on the photon-number blocks rho^{m mp} of rho.
 
-    The Hamiltonian couples only neighbouring photon numbers and each channel
-    maps a block only onto its neighbours, so
+    The drive couples only neighbouring photon numbers and each channel maps
+    a block only onto its neighbours, so
 
         d rho^{m mp}/dt = G_m rho^{m mp} + rho^{m mp} G_mp^+ + rest(m, mp)
                           - i omega_c (m - mp) rho^{m mp}
 
     with the sector drifts G_m = -i (H_mm - omega_c m) - kappa m/2 -
     (gamma_down b+b + gamma_up b b+)/2, and ``rest`` the drive couplings
-    H_{m,m+-1}, the photon feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1}
+    Omega sqrt(m+1), the photon feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1}
     and the mechanical jumps gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
     The frame's omega_c a+a commutes with all else: ``apply`` leaves its rate
     ``frame_rate`` out, and ``evolve`` applies its flow in closed form.
@@ -98,8 +100,7 @@ class _BlockGenerator:
         self.drift = [-1j * (h[m, :, m, :] - w[m] * eye) - 0.5 * ls.kappa * m * eye - damp
                       for m in range(spec.n_cav)]
         self.drift_dag = [g.conj().T for g in self.drift]
-        self.up = [h[m, :, m + 1, :] for m in range(spec.n_cav - 1)]  # H_{m,m+1}
-        self.up_dag = [u.conj().T for u in self.up]
+        self.drive = ls.drive * np.sqrt(np.arange(1.0, spec.n_cav))  # <m+1|H|m>
         root = np.sqrt(np.arange(1.0, spec.n_mech))
         self.jump_weight = np.outer(root, root)
 
@@ -110,13 +111,13 @@ class _BlockGenerator:
         x = v[m, :, mp, :]
         r = np.zeros(x.shape, dtype=complex)
         if m > 0:
-            r -= 1j * (self.up_dag[m - 1] @ v[m - 1, :, mp, :])
+            r -= 1j * (self.drive[m - 1] * v[m - 1, :, mp, :])
         if m < last:
-            r -= 1j * (self.up[m] @ v[m + 1, :, mp, :])
+            r -= 1j * (self.drive[m] * v[m + 1, :, mp, :])
         if mp > 0:
-            r += 1j * (v[m, :, mp - 1, :] @ self.up[mp - 1])
+            r += 1j * (self.drive[mp - 1] * v[m, :, mp - 1, :])
         if mp < last:
-            r += 1j * (v[m, :, mp + 1, :] @ self.up_dag[mp])
+            r += 1j * (self.drive[mp] * v[m, :, mp + 1, :])
         if m < last and mp < last:
             r += self.kappa * np.sqrt((m + 1.0) * (mp + 1.0)) * v[m + 1, :, mp + 1, :]
         # b x b+ and b+ x b shift x one step along the diagonal
@@ -217,13 +218,13 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
 
 def _steady_direct(ls):
     """Null vector of the vectorized Liouvillian with the trace constraint,
-    built from the full-space mode operators, independently of the block
-    form."""
+    built from the full-space mode operators, drive included, independently
+    of the block form."""
     d = ls.spec.dim
     ops = build_mode_operators(ls.spec)
     liou = _constrained_liouvillian(
-        ls.hamiltonian, ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up))
-    )
+        ls.hamiltonian + ls.drive * (ops.a_dag + ops.a),
+        ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up)))
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
     liou = liou.tocsc()
@@ -312,9 +313,9 @@ def _steady_ladder(ls, max_sweeps=200):
     energies = np.diagonal(h00)
     if np.count_nonzero(h00 - np.diag(energies)):
         return None, "photon-vacuum Hamiltonian is not diagonal"
-    gen = _BlockGenerator(ls)
-    if max(np.abs(u).max() for u in gen.up) > 0.5 * ls.kappa * nc:
+    if abs(ls.drive) * np.sqrt(nc - 1.0) > 0.5 * ls.kappa * nc:
         return None, "drive too strong for the contraction test"
+    gen = _BlockGenerator(ls)
 
     eig = []
     for g in gen.drift:
@@ -381,9 +382,9 @@ def steady_state(ls, method="ladder"):
     if method == "direct":
         return _steady_direct(ls)
     if method == "ladder":
-        # a and b annihilate the vacuum; only the drive and b+ lift it
-        drive_free = np.abs(ls.hamiltonian[0, 1:]).max() == 0.0
-        if drive_free and ls.gamma_up == 0.0:
+        # a and b annihilate the vacuum; only the drive, b+ and a force on
+        # the mechanics in the photon vacuum (hamiltonian row 0) lift it
+        if ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.hamiltonian[0, 1:].any():
             return vacuum_density(ls.spec)  # vacuum is dark: exact fixed point
         rho, reason = _steady_ladder(ls)
         resid = np.inf if rho is None else np.abs(apply_liouvillian(ls, rho)).max()

@@ -88,27 +88,17 @@ def build_mode_operators(spec):
     )
 
 
-def _h_gom(ops, params, omega_c):
-    return (
-        omega_c * ops.n_a
-        + params.omega_m * ops.n_b
-        - params.g0 * ops.n_a @ (ops.b_dag + ops.b)
-        - params.g_ck * ops.n_a @ ops.n_b
-    )
-
-
 def build_h_gom(spec, params):
     """Lab-frame Hamiltonian
     omega_c a+a + omega_m b+b - g0 a+a (b+ + b) - g_ck a+a b+b.
     """
-    return _h_gom(build_mode_operators(spec), params, params.omega_c)
-
-
-def build_h_driven(spec, params):
-    """Rotating-frame Hamiltonian: build_h_gom with omega_c replaced by the
-    drive detuning delta_c, plus the drive Omega (a+ + a)."""
     ops = build_mode_operators(spec)
-    return _h_gom(ops, params, params.delta_c) + params.drive_amp * (ops.a_dag + ops.a)
+    return (
+        params.omega_c * ops.n_a
+        + params.omega_m * ops.n_b
+        - params.g0 * ops.n_a @ (ops.b_dag + ops.b)
+        - params.g_ck * ops.n_a @ ops.n_b
+    )
 
 
 def expm(mat, scalar=1.0):

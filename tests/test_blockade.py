@@ -7,7 +7,7 @@ import pytest
 from ckom.model import SystemParams, delta_m, optimal_detuning, resonance_curve_g0
 from ckom.operators import HilbertSpec
 from ckom import blockade
-from ckom.errors import NonConvergedSum
+from ckom.errors import NonConvergedSum, ZeroPhotonNumber
 
 FIG2 = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, drive_amp=0.001)
 SPEC = HilbertSpec(4, 30)
@@ -52,10 +52,18 @@ class TestAmplitudes:
         with pytest.raises(NonConvergedSum):
             blockade.longtime_amplitudes(strong, tight)
 
+    def test_needs_cavity_decay(self):
+        with pytest.raises(ValueError, match="kappa > 0"):
+            blockade.longtime_amplitudes(FIG2.replace(kappa=0.0, delta_c=0.49), SPEC)
+
+    def test_undriven_g2_is_named_error(self):
+        with pytest.raises(ZeroPhotonNumber):
+            blockade.photon_stats_exact(FIG2.replace(drive_amp=0.0, delta_c=0.594), SPEC)
+
     def test_weak_driving_warning(self):
-        loud = FIG2.replace(drive_amp=0.05)
-        with pytest.warns(UserWarning):
-            blockade.longtime_amplitudes(loud, SPEC)
+        for drive_amp in (0.05, -0.05):
+            with pytest.warns(UserWarning, match="weak-driving expansion"):
+                blockade.longtime_amplitudes(FIG2.replace(drive_amp=drive_amp), SPEC)
 
     def test_p1_peaks_at_single_photon_resonances(self):
         detunings = np.arange(-4.0, 1.5, 0.005)

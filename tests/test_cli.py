@@ -145,15 +145,35 @@ class TestBlockadeSweep:
 
     @pytest.mark.parametrize("argv", [
         ["blockade-sweep", "--numeric"], ["table1"],
-        ["blockade-map", "--numeric", "--jobs", "2"]])
-    def test_master_equation_route_needs_decay(self, argv, tmp_path, capsys):
-        # a unique driven steady state needs kappa > 0; refused before any point
+        ["blockade-map", "--numeric", "--jobs", "2"],
+        ["blockade-sweep"], ["blockade-map"], ["table1", "--analytic"]])
+    def test_blockade_routes_need_decay(self, argv, tmp_path, capsys):
+        # a unique driven steady state needs kappa > 0, on the master-equation
+        # and the analytic route alike; refused before any point
         out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as err:
             main(argv + ["--kappa", "0", "--out", str(out)])
         assert err.value.code == 1
         assert "ckom: error: kappa = 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["blockade-sweep", "--detuning-min", "0.5", "--detuning-max", "0.6"],
+        ["blockade-map", "--g0-steps", "2", "--gck-steps", "2", "--n-mech", "20"]])
+    def test_undriven_points_name_zero_photon_number(self, argv, tmp_path):
+        # without drive P1 = 0 and g2 = 2 P2 / P1^2 is undefined: each point
+        # says so and the run completes
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--drive-amp", "0", "--out", str(out)]) == 0
+        _c, header, rows = read_csv(out)
+        errors = column(header, rows, "error", as_float=False)
+        assert rows and all(e.startswith("ZeroPhotonNumber: ") for e in errors)
+
+    def test_undriven_table_finds_no_resonance(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["table1", "--analytic", "--drive-amp", "0", "--out", str(out)]) == 0
+        _c, header, rows = read_csv(out)
+        assert np.all(np.isnan(column(header, rows, "detected_analytic")))
 
     def test_nan_and_continue(self, tmp_path):
         # g_ck beyond omega_m/m_max: every point fails but the run completes

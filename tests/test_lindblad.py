@@ -11,7 +11,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from ckom.model import SystemParams
-from ckom.operators import (HilbertSpec, build_h_driven, build_mode_operators, destroy, expm,
+from ckom.operators import (HilbertSpec, build_h_gom, build_mode_operators, destroy, expm,
                             propagator_factored)
 from ckom import lindblad
 from ckom.lindblad import (
@@ -32,13 +32,19 @@ def fock_density(spec, m, n):
     return DensityMatrix(spec, rho)
 
 
+def full_hamiltonian(ls):
+    """H = hamiltonian + drive (a+ + a) from the full-space mode operators."""
+    ops = build_mode_operators(ls.spec)
+    return ls.hamiltonian + ls.drive * (ops.a_dag + ops.a)
+
+
 def full_space_liouvillian(ls):
     """Dense vectorized Liouvillian (row-major vec, no trace row) of
     -i[H, .] + kappa D[a] + gamma_down D[b] + gamma_up D[b+], built from the
     full-space mode operators, independently of the block form."""
     ops = build_mode_operators(ls.spec)
     eye = np.eye(ls.spec.dim)
-    h = ls.hamiltonian
+    h = full_hamiltonian(ls)
     liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for o, rate in ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up)):
         oo = o.conj().T @ o
@@ -80,10 +86,16 @@ class TestLiouvillian:
         assert np.isclose(ddt_n, -0.37, rtol=1e-12)
 
     def test_rates_recorded_by_name(self):
-        spec = HilbertSpec(2, 4)
-        p = SystemParams(kappa=0.3, gamma_m=0.02, nbar_m=0.5)
+        spec = HilbertSpec(3, 4)
+        p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.3, gamma_m=0.02, nbar_m=0.5,
+                         delta_c=0.4, drive_amp=-0.01, omega_c=77.0)
         ls = make_lindblad(p, spec, frame="rotating")
         assert (ls.kappa, ls.gamma_down, ls.gamma_up) == (0.3, 0.02 * 1.5, 0.02 * 0.5)
+        assert (ls.drive, ls.omega_c) == (-0.01, 0.0)
+        assert np.array_equal(ls.hamiltonian, build_h_gom(spec, p.replace(omega_c=0.4)))
+        lab = make_lindblad(p, spec, frame="lab")
+        assert (lab.drive, lab.omega_c) == (0.0, 77.0)
+        assert np.array_equal(lab.hamiltonian, build_h_gom(spec, p))
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -111,7 +123,7 @@ class TestLiouvillian:
         rho = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
         ops = build_mode_operators(spec)
         liou = lindblad._constrained_liouvillian(
-            ls.hamiltonian,
+            full_hamiltonian(ls),
             ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up)),
         ).tocsr()
         want = liou @ rho.ravel()
@@ -139,7 +151,7 @@ class TestEvolve:
         rho0 = DensityMatrix(spec, np.outer(psi0, psi0.conj()))
         t = 4.0
         rho_t = evolve(ls, rho0, np.array([0.0, t]))[-1].rho
-        u = expm(build_h_driven(spec, p), -1j * t)
+        u = expm(full_hamiltonian(ls), -1j * t)
         psi_t = u @ psi0
         fidelity = np.real(psi_t.conj() @ rho_t @ psi_t)
         assert fidelity >= 1.0 - 1e-8
@@ -306,26 +318,30 @@ class TestSteadyState:
         assert np.abs(ladder.rho - direct.rho).max() < 1e-12
 
     def test_strong_drive_fallback_is_named(self):
+        # the contraction test reads |Omega|: a negative drive is as strong
         spec = HilbertSpec(3, 6)
-        p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=0.2)
-        ls = make_lindblad(p, spec, frame="rotating")
-        with pytest.warns(SolverFallback, match="drive too strong"):
-            rho = steady_state(ls, method="ladder")
-        assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
+        for drive_amp in (0.2, -0.2):
+            p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=drive_amp)
+            ls = make_lindblad(p, spec, frame="rotating")
+            with pytest.warns(SolverFallback, match="drive too strong"):
+                rho = steady_state(ls, method="ladder")
+            assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
 
     def test_non_diagonal_vacuum_hamiltonian_falls_back(self):
         # a static force on the mechanics in the photon vacuum couples the
-        # diagonal offsets the ladder's vacuum solve splits apart
+        # diagonal offsets the ladder's vacuum solve splits apart; without
+        # drive it also lifts the vacuum, which is then not dark
         spec = HilbertSpec(3, 6)
-        p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=0.01)
-        ls = make_lindblad(p, spec, frame="rotating")
         b = destroy(spec.n_mech)
-        h = ls.hamiltonian.copy()
-        h[spec.block(0), spec.block(0)] += 0.02 * (b + b.conj().T)
-        ls = dataclasses.replace(ls, hamiltonian=h)
-        with pytest.warns(SolverFallback, match="photon-vacuum Hamiltonian is not diagonal"):
-            rho = steady_state(ls)
-        assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
+        for drive_amp in (0.01, 0.0):
+            p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=drive_amp)
+            ls = make_lindblad(p, spec, frame="rotating")
+            h = ls.hamiltonian.copy()
+            h[spec.block(0), spec.block(0)] += 0.02 * (b + b.conj().T)
+            ls = dataclasses.replace(ls, hamiltonian=h)
+            with pytest.warns(SolverFallback, match="photon-vacuum Hamiltonian is not diagonal"):
+                rho = steady_state(ls)
+            assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
 
     def test_unknown_method(self):
         ls = make_lindblad(SystemParams(kappa=0.1, gamma_m=0.01), HilbertSpec(2, 4))

@@ -82,35 +82,6 @@ class TestHamiltonians:
                 val = h[spec.index(m, n + 1), spec.index(m, n)]
                 assert np.isclose(val, -FIG2.g0 * m * np.sqrt(n + 1.0), rtol=1e-14)
 
-    def test_rotating_frame_swaps_omega_c_for_detuning(self):
-        spec = HilbertSpec(3, 5)
-        p = FIG2.replace(delta_c=0.4, omega_c=77.0)
-        h_rot = operators.build_h_driven(spec, p.replace(drive_amp=0.0))
-        h_lab = operators.build_h_gom(spec, p.replace(omega_c=0.4))
-        assert np.allclose(h_rot, h_lab)
-
-    def test_drive_couples_adjacent_blocks_only(self):
-        spec = HilbertSpec(3, 4)
-        p = FIG2.replace(drive_amp=0.01)
-        h = operators.build_h_driven(spec, p)
-        assert np.allclose(h, h.conj().T)
-        assert np.isclose(h[spec.index(1, 2), spec.index(0, 2)], 0.01)
-        assert np.isclose(h[spec.index(2, 1), spec.index(1, 1)], 0.01 * np.sqrt(2.0))
-        assert h[spec.index(2, 0), spec.index(0, 0)] == 0.0
-        assert np.allclose(operators.build_h_driven(spec, p.replace(drive_amp=0.0)),
-                           operators.build_h_gom(spec, p.replace(omega_c=p.delta_c)))
-
-    @pytest.mark.parametrize("delta_c", [-1.3, 0.0, 0.594])
-    def test_driven_is_rotating_plus_drive_bit_for_bit(self, delta_c):
-        spec = HilbertSpec(4, 30)
-        p = FIG2.replace(delta_c=delta_c, omega_c=77.0, drive_amp=0.001)
-        ops = operators.build_mode_operators(spec)
-        rotating = operators.build_h_gom(spec, p.replace(omega_c=delta_c))
-        assert np.array_equal(operators.build_h_driven(spec, p.replace(drive_amp=0.0)),
-                              rotating)
-        assert np.array_equal(operators.build_h_driven(spec, p),
-                              rotating + p.drive_amp * (ops.a_dag + ops.a))
-
 
 class TestExpm:
     def test_zero_matrix(self):
