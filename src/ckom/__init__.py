@@ -1,6 +1,15 @@
 """Simulation toolkit for an optomechanical cavity with cross-Kerr coupling:
 photon-blockade statistics and mechanical Schroedinger-cat generation, in
-both closed (unitary) and open (Lindblad) settings."""
+both closed (unitary) and open (Lindblad) settings.
+
+Imported before numpy, it runs OpenBLAS on one thread per process unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: the solvers' products are
+small and slower threaded; ``--jobs`` is the parallelism."""
+
+import os
+
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .model import (
     SystemParams,

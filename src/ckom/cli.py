@@ -158,10 +158,13 @@ def _axis(config, name, count):
 
 
 def _pool_map(worker, tasks, jobs):
-    if jobs <= 1:
+    """[worker(task) for task in tasks] on at most one process per task, up to
+    ``jobs`` of them; serially in this process where that is one or none."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    chunk = max(1, len(tasks) // (8 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
@@ -575,6 +578,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        _usage_error(f"--jobs = {args.jobs} must be at least 1")
     command = COMMANDS[args.command]
     try:
         config = resolve_config(command.defaults, args)

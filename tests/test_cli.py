@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from ckom import cli
 from ckom.cli import COMMANDS, _build_parser, local_extrema, main
 
 
@@ -205,6 +206,46 @@ class TestBlockadeMap:
         g_ck = column(header2, rows2, "g_ck")
         ref = locus[(n_col == 2) & (g_ck == 0.0)]
         assert np.isclose(ref[0], 1.0, atol=1e-12)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["table1", "blockade-sweep", "blockade-map"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_worker_is_usage_error(self, command, jobs, tmp_path, capsys):
+        # a count below 1 names the flag; it is not taken as a serial run
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--jobs", jobs, "--out", str(out)])
+        assert err.value.code == 1
+        assert f"--jobs = {jobs} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_at_most_one_worker_per_task(self, monkeypatch):
+        # the pool starts all max_workers processes at once, so the count
+        # must not exceed the tasks; this fake pool starts none
+        pools = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=1):
+                return map(func, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        assert cli._pool_map(abs, [-1, -2, -3], 8) == [1, 2, 3]
+        assert cli._pool_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert pools == [3, 2]
+        # one task or none: no pool at all
+        assert cli._pool_map(abs, [-4], 8) == [4]
+        assert cli._pool_map(abs, [], 8) == []
+        assert pools == [3, 2]
 
 
 class TestCat:
