@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
@@ -135,7 +136,7 @@ def resolve_config(defaults, args):
     """Defaults, overridden by the --config file, overridden by flags. A file
     value of a defaults key is converted as its flag's text would be (null
     only where the default is None); other file keys pass through unread,
-    but echoed."""
+    but echoed. A NaN or infinite number is a usage error."""
     config = dict(defaults)
     if args.config:
         with open(args.config) as handle:
@@ -149,6 +150,8 @@ def resolve_config(defaults, args):
         flag = getattr(args, key)
         if flag is not None:
             config[key] = flag
+        if isinstance(config[key], float) and not math.isfinite(config[key]):
+            _usage_error(f"{key} = {config[key]} must be finite")
     return config
 
 
@@ -379,14 +382,19 @@ def cmd_cat(args, config, params, spec):
     # a <rate>_list config key sweeps that rate
     rates = [[float(v) for v in np.atleast_1d(config.get(f"{key}_list", config[key]))]
              for key in ("kappa", "gamma_m", "nbar_m")]
+    try:  # a negative or non-finite rate is a usage error before any evolution
+        points = [params.replace(kappa=kap, gamma_m=gam, nbar_m=nbar)
+                  for kap, gam, nbar in itertools.product(*rates)]
+    except ValueError as exc:
+        _usage_error(str(exc))
     rows = []
     snap_rows = []
-    for kap, gam, nbar in itertools.product(*rates):
-        point = params.replace(kappa=kap, gamma_m=gam, nbar_m=nbar)
+    for point in points:
         states = evolve(make_lindblad(point, spec, frame="lab"), rho0, eval_times)
         for t, dm in zip(eval_times, states):
             branches = catstate.condition_open_system(dm, t)
-            row = [kap, gam, nbar, t, *(cond.prob for cond in branches)]
+            row = [point.kappa, point.gamma_m, point.nbar_m, t,
+                   *(cond.prob for cond in branches)]
             for cond in branches:  # a degenerate branch leaves only its own fidelity empty
                 try:
                     row.append(catstate.fidelity_vs_target(cond, t, point))

@@ -7,16 +7,16 @@ ladder steady state use its photon-number block form (``_BlockGenerator``);
 the direct steady state builds it from the full-space operators instead.
 ``steady_state`` has one method per role: ``ladder`` for every sweep and
 ``direct`` as its fallback and independent reference.
+
+Everything here runs on numpy: time evolution uses ``solve_ivp``, a port of
+scipy's RK45, and only the direct steady state imports ``scipy.sparse``.
 """
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .operators import HilbertSpec, build_h_gom, build_mode_operators, destroy
 from .errors import NonConvergence, SolverFallback, StepSizeUnderflow, ZeroPhotonNumber
@@ -142,6 +142,8 @@ def _constrained_liouvillian(h, jumps):
     """Sparse vectorized Liouvillian of -i[h, .] + sum rate D[o] over the
     (o, rate) pairs in ``jumps`` (row-major vec convention), with its first
     row replaced by the trace constraint."""
+    import scipy.sparse as sp
+
     d = h.shape[0]
     h = sp.csr_matrix(h)
     eye = sp.identity(d, format="csr")
@@ -171,15 +173,117 @@ def apply_liouvillian(ls, rho):
     return gen.apply(r) + (gen.frame_rate * ls.spec.blocks(r)).reshape(r.shape)
 
 
+# Dormand-Prince 5(4) (Dormand & Prince 1980) with Shampine's 4th-order dense
+# output (Math. Comp. 46, 135 (1986)): the tableau of scipy's RK45
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+class IvpResult(NamedTuple):
+    y: np.ndarray  # (len(y0), len(t_eval)); None when the integration failed
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
+    """y at the increasing times ``t_eval`` in ``t_span`` = (t0, t1), t1 > t0,
+    for dy/dt = fun(t, y), y(t0) = y0, by adaptive Dormand-Prince 5(4) steps.
+
+    It takes the steps of ``scipy.integrate.solve_ivp(method="RK45")``: the
+    same initial step (Hairer, Norsett & Wanner, Sec. II.4), RMS error norm,
+    controller and dense output. It fails (``success`` False) when the step
+    falls below ten spacings of t, or as soon as the error norm or the step
+    is not finite, where scipy's controller would retry a NaN step forever.
+    """
+    t, t_end = map(float, t_span)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if not t < t_end or t_eval[0] < t or t_eval[-1] > t_end or np.any(np.diff(t_eval) < 0):
+        raise ValueError("t_eval must increase within t_span = (t0, t1), t1 > t0")
+    y = np.asarray(y0)
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return fun(t, y)
+
+    f = rhs(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_end - t)
+
+    k = np.empty((7, y.size), dtype=y.dtype)
+    ys, i_eval = [], 0
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not min_step <= h_abs < np.inf:  # NaN fails here too
+                return IvpResult(None, nfev, False, f"step size {h_abs:.3g} is below "
+                                 f"{min_step:.3g} or not finite")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = rhs(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+            k[-1] = f_new = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(k.T, _DP_E) * h / scale)
+            if not np.isfinite(error_norm):
+                return IvpResult(None, nfev, False, f"error norm {error_norm} is not finite")
+            if error_norm < 1:
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+        h_abs *= min(1, factor) if rejected else factor
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        # every t_eval up to and including the new t, from the step's interpolant
+        i_new = np.searchsorted(t_eval, t, side="right")
+        if i_new > i_eval:
+            x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            ys.append((t - t_old) * np.dot(k.T.dot(_DP_P), p) + y_old[:, None])
+            i_eval = i_new
+    return IvpResult(np.hstack(ys), nfev, True, "reached the end of the interval")
+
+
 def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
-    """Integrate the master equation over t_grid with an adaptive embedded
-    Runge-Kutta 4/5 pair.
+    """Integrate the master equation over t_grid with ``solve_ivp``, the
+    adaptive Dormand-Prince 5(4) pair of scipy's RK45.
 
     The integrator runs without the frame's omega_c a+a term, whose phase
     each reported state gets back exactly. The raw integrator state is never
     renormalized; the returned matrices are symmetrized and trace-normalized.
     A grid that does not advance (every time equal to t_grid[0]) returns the
-    initial state at each time, without integrating.
+    initial state at each time, without integrating. A failed integration,
+    a NaN in the generator or in rho0 included, raises StepSizeUnderflow.
     """
     d = ls.spec.dim
     r0 = _as_matrix(rho0).astype(complex)
@@ -193,7 +297,6 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
             (t_grid[0], t_grid[-1]),
             r0.ravel(),
             t_eval=t_grid,
-            method="RK45",
             rtol=rtol,
             atol=atol,
         )
@@ -220,6 +323,8 @@ def _steady_direct(ls):
     """Null vector of the vectorized Liouvillian with the trace constraint,
     built from the full-space mode operators, drive included, independently
     of the block form."""
+    import scipy.sparse.linalg as spla
+
     d = ls.spec.dim
     ops = build_mode_operators(ls.spec)
     liou = _constrained_liouvillian(
@@ -319,8 +424,8 @@ def _steady_ladder(ls, max_sweeps=200):
 
     eig = []
     for g in gen.drift:
-        lam, v = sla.eig(g)
-        eig.append((lam, v, sla.inv(v)))
+        lam, v = np.linalg.eig(g)
+        eig.append((lam, v, np.linalg.inv(v)))
     solve00 = _vacuum_solver(energies, ls.gamma_down, ls.gamma_up)
 
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)

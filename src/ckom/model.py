@@ -5,6 +5,7 @@ is the canonical choice and all couplings/rates are ratios.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,10 @@ class SystemParams:
     omega_m: float = 1.0
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} = {value} must be finite")
         if self.omega_m <= 0:
             raise ValueError("omega_m must be positive")
         for name in ("kappa", "gamma_m", "nbar_m"):

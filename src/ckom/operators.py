@@ -8,7 +8,6 @@ spaces used by the command-line runs are a few hundred dimensions.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import effective_mech_freq
 from .specfun import displacement_matrix
@@ -105,16 +104,19 @@ def expm(mat, scalar=1.0):
     """Matrix exponential of scalar * mat.
 
     Hermitian inputs (with real or purely imaginary scalar) go through an
-    eigendecomposition; everything else uses scaling-and-squaring Pade.
+    eigendecomposition; everything else uses scipy's scaling-and-squaring
+    Pade, imported only here.
     """
     mat = np.asarray(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix exponential needs a square matrix")
     herm = np.abs(mat - mat.conj().T).max() <= 1e-13 * max(np.abs(mat).max(), 1.0)
     if herm:
-        w, v = sla.eigh(mat)
+        w, v = np.linalg.eigh(mat)
         return (v * np.exp(scalar * w)) @ v.conj().T
-    return sla.expm(scalar * mat)
+    from scipy.linalg import expm as pade_expm
+
+    return pade_expm(scalar * mat)
 
 
 def propagator_factors(t, params, spec):

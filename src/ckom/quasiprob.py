@@ -13,7 +13,6 @@ is X(theta) = (b e^{-i theta} + b+ e^{i theta})/sqrt(2).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .catstate import _ideal_branch, beta_theta, cat_state_vector
 from .specfun import laguerre_rows, log_factorial
@@ -126,7 +125,7 @@ def _coherent_levels(beta):
     log_b = np.log(max(abs(beta), 1e-300))
     while True:
         # log |c_n| = -|b|^2/2 + n log|b| - log(n!)/2
-        val = log_c + n * log_b - 0.5 * gammaln(n + 1.0)
+        val = log_c + n * log_b - 0.5 * log_factorial(n)
         if val < np.log(_TERM_FLOOR) and n > abs(beta) ** 2:
             return n + 1
         n += 8

@@ -5,13 +5,15 @@ exact (untruncated) values, so matrices built from them do not depend on any
 cutoff except through their shape.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 
 def log_factorial(n):
-    """ln(n!) for non-negative integer n (scalar or array)."""
-    return gammaln(np.asarray(n) + 1.0)
+    """ln(n!) for non-negative integer n (scalar or array), by math.lgamma."""
+    n = np.asarray(n, dtype=float)
+    return np.array([math.lgamma(v + 1.0) for v in n.ravel()]).reshape(n.shape)
 
 
 def laguerre_rows(k, r2, n):

@@ -3,6 +3,9 @@ exit codes."""
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -452,6 +455,44 @@ class TestConfigAndErrors:
             main(["cat", "--config", str(cfg), "--out", str(out)])
         assert err.value.code == 1
         assert f"config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cat", "--mode", "open", "--kappa", "nan", "--n-mech", "12", "--t-steps", "3"],
+        ["blockade-sweep", "--numeric", "--kappa", "nan", "--n-cav", "3", "--n-mech", "8",
+         "--detuning-min", "0", "--detuning-max", "0.1", "--detuning-step", "0.1"]])
+    def test_nan_rate_is_a_usage_error_not_a_hang(self, argv, tmp_path):
+        # the cat run used to spin in RK45 on a NaN step, the sweep to end
+        # in a traceback from scipy's check_finite
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-m", "ckom.cli", *argv,
+                               "--out", str(tmp_path / "out.csv")],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "ckom: error: kappa = nan must be finite\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["table1", "--detuning-step", "inf"], None, "detuning_step"),
+        (["blockade-map", "--g0-max=-inf"], None, "g0_max"),
+        (["quadrature", "--theta", "nan"], None, "theta"),
+        (["cat", "--time", "inf"], None, "time"),
+        (["wigner"], {"re_min": float("nan")}, "re_min"),
+        (["verify"], {"g0": float("inf")}, "g0"),
+        (["cat", "--mode", "open"], {"kappa_list": [0.1, float("nan")]}, "kappa")])
+    def test_non_finite_numbers_are_usage_errors(self, argv, config, key, tmp_path, capsys):
+        # from a flag or from the config file (json reads NaN and Infinity),
+        # including a <rate>_list of cat --mode open
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main(argv + (["--out", str(out)] if argv[0] != "verify" else []))
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith(f"ckom: error: {key} = ")
         assert not out.exists()
 
     def test_unread_config_keys_are_echoed_and_ignored(self, tmp_path):

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from ckom.lindblad import (
     steady_state,
     vacuum_density,
 )
-from ckom.errors import NonConvergence, SolverFallback, ZeroPhotonNumber
+from ckom.errors import NonConvergence, SolverFallback, StepSizeUnderflow, ZeroPhotonNumber
 
 
 def fock_density(spec, m, n):
@@ -232,6 +233,77 @@ class TestEvolve:
         for t, dm in zip(t_grid[1:], states[1:]):
             u = propagator_factored(t, p, spec)
             assert np.abs(dm.rho - u @ rho0 @ u.conj().T).max() < 1e-7
+
+    @pytest.mark.parametrize("where", ["hamiltonian", "rho0"])
+    def test_nan_ends_in_step_size_underflow(self, where):
+        # a NaN error norm defeats the step-size controller: scipy's RK45
+        # shrank a NaN step forever; the integrator now fails at once
+        spec = HilbertSpec(2, 6)
+        p = SystemParams(g0=0.6, g_ck=0.15, omega_c=5.0, kappa=0.1, gamma_m=0.02)
+        ls = make_lindblad(p, spec, frame="lab")
+        rho0 = fock_density(spec, 1, 2).rho
+        if where == "hamiltonian":
+            h = ls.hamiltonian.copy()
+            h[spec.index(1, 1), spec.index(1, 1)] = np.nan
+            ls = dataclasses.replace(ls, hamiltonian=h)
+        else:
+            rho0 = rho0.copy()
+            rho0[0, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NaN / NaN in the error scale
+            with pytest.raises(StepSizeUnderflow, match="not finite"):
+                evolve(ls, rho0, np.array([0.0, 1.0]))
+
+
+class TestSolveIvp:
+    """``lindblad.solve_ivp`` takes the steps of scipy's RK45, so the master-
+    equation outputs do not depend on which of the two integrates them."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        decay=st.floats(0.01, 2.0),
+        freq=st.floats(0.0, 20.0),
+        t0=st.floats(-5.0, 5.0),
+        span=st.floats(0.5, 30.0),
+        n_eval=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_rk45(self, n, decay, freq, t0, span, n_eval, seed):
+        # dy/dt = M y with a decaying, rotating spectrum in a skewed basis;
+        # t_eval starts at t0 and crowds three points into the first step
+        rng = np.random.default_rng(seed)
+        lam = -decay * rng.uniform(0.1, 1.0, n) + 1j * freq * rng.uniform(-1.0, 1.0, n)
+        v = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        m = v @ np.diag(lam) @ np.linalg.inv(v)
+        y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        t1 = t0 + span
+        inside = np.sort(rng.uniform(t0 + 1e-5, t1, n_eval))
+        t_eval = np.unique(np.concatenate([t0 + np.array([0.0, 1e-6, 2e-6, 3e-6]), inside, [t1]]))
+        ours = lindblad.solve_ivp(lambda _t, y: m @ y, (t0, t1), y0, t_eval=t_eval,
+                                  rtol=1e-8, atol=1e-10)
+        ref = scipy.integrate.solve_ivp(lambda _t, y: m @ y, (t0, t1), y0, t_eval=t_eval,
+                                        method="RK45", rtol=1e-8, atol=1e-10)
+        assert ours.success and ref.success
+        assert ours.nfev == ref.nfev
+        assert ours.y.shape == ref.y.shape == (n, t_eval.size)
+        assert np.abs(ours.y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+
+    def test_result_fields(self):
+        # the benchmark's tracer reads .nfev; evolve reads .y, .success, .message
+        res = lindblad.solve_ivp(lambda _t, y: -y, (0.0, 1.0), np.array([1.0 + 0j]),
+                                 t_eval=np.array([0.0, 0.5, 1.0]), rtol=1e-8, atol=1e-10)
+        assert res.success and res.message and res.nfev > 2
+        assert np.allclose(res.y[0], np.exp(-np.array([0.0, 0.5, 1.0])), rtol=1e-7)
+
+    @pytest.mark.parametrize("t_span, t_eval", [
+        ((1.0, 0.0), [1.0, 0.0]), ((0.0, 1.0), [0.0, 0.7, 0.5, 1.0]),
+        ((0.0, 1.0), [-0.1, 1.0]), ((0.0, 1.0), [0.0, 1.5])])
+    def test_t_eval_must_increase_within_the_span(self, t_span, t_eval):
+        # forward only: backward integration of a dissipative generator is unstable
+        with pytest.raises(ValueError, match="t_eval must increase"):
+            lindblad.solve_ivp(lambda _t, y: -y, t_span, np.ones(1, dtype=complex),
+                               t_eval=np.array(t_eval))
 
 
 class TestSteadyState:

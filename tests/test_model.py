@@ -21,6 +21,13 @@ class TestParams:
         with pytest.raises(ValueError):
             SystemParams(omega_m=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["g0", "kappa", "nbar_m", "omega_c", "omega_m"])
+    def test_fields_must_be_finite(self, name, value):
+        # nan < 0 is false, so the sign checks alone let NaN through
+        with pytest.raises(ValueError, match=f"{name} = .* must be finite"):
+            SystemParams(**{name: value})
+
     def test_replace(self):
         p = FIG2.replace(delta_c=0.5)
         assert p.delta_c == 0.5 and p.g0 == FIG2.g0
