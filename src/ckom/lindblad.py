@@ -14,6 +14,7 @@ scipy's RK45, and only the direct steady state imports ``scipy.sparse``.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +87,7 @@ class _BlockGenerator:
     and the mechanical jumps gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
     The frame's omega_c a+a commutes with all else: ``apply`` leaves its rate
     ``frame_rate`` out, and ``evolve`` applies its flow in closed form.
+    ``apply`` evaluates these terms by diagonals (``_bands``), the ladder by blocks.
     """
 
     def __init__(self, ls):
@@ -99,10 +101,9 @@ class _BlockGenerator:
         self.frame_rate = -1j * (w[:, None, None, None] - w[None, None, :, None])
         self.drift = [-1j * (h[m, :, m, :] - w[m] * eye) - 0.5 * ls.kappa * m * eye - damp
                       for m in range(spec.n_cav)]
-        self.drift_dag = [g.conj().T for g in self.drift]
         self.drive = ls.drive * np.sqrt(np.arange(1.0, spec.n_cav))  # <m+1|H|m>
-        root = np.sqrt(np.arange(1.0, spec.n_mech))
-        self.jump_weight = np.outer(root, root)
+        self.mech_root = np.sqrt(np.arange(1.0, spec.n_mech))  # <q|b|q+1>
+        self.jump_weight = np.outer(self.mech_root, self.mech_root)
 
     def rest(self, v, m, mp):
         """Drive couplings, feed-down and mechanical jumps of block (m, mp),
@@ -125,17 +126,53 @@ class _BlockGenerator:
         r[1:, 1:] += self.gamma_up * self.jump_weight * x[:-1, :-1]
         return r
 
+    @cached_property
+    def _bands(self):
+        """The terms of ``drift`` and ``rest`` as K rho + rho K+ + sum_c J_c rho J_c+
+        by nonzero diagonals: K's at the drift blocks' offsets and +-n_mech (the
+        drive), and the weights of the jumps a, b, b+ (offsets n_mech, 1, -1)."""
+        nc, nm, dim = self.spec.n_cav, self.spec.n_mech, self.spec.dim
+        g, q = np.array(self.drift), np.arange(nm)
+        diags = {}  # offset o: K[i, i + o] for every i
+        rows, cols = np.nonzero(np.any(g != 0, axis=0))
+        for o in sorted(set((cols - rows).tolist())):
+            inside = (q + o >= 0) & (q + o < nm)
+            diags[o] = (g[:, q, np.clip(q + o, 0, nm - 1)] * inside).ravel()
+        if self.drive.any():
+            step, pad = np.repeat(-1j * self.drive, nm), np.zeros(nm)
+            diags[nm], diags[-nm] = np.append(step, pad), np.append(pad, step)
+        k0 = diags.pop(0, np.zeros(dim))
+        cav = np.append(np.repeat(np.sqrt(np.arange(1.0, nc)), nm), np.zeros(nm))  # a[i, i + nm]
+        down = np.tile(np.append(self.mech_root, 0.0), nc)  # b[i, i + 1]
+        up = np.append(0.0, down[:-1])  # b+[i, i - 1]
+        jumps = [(o * (dim + 1), np.outer(rate * w, w).ravel()) for o, rate, w in
+                 ((nm, self.kappa, cav), (1, self.gamma_down, down), (-1, self.gamma_up, up))
+                 if rate != 0.0]
+        return np.add.outer(k0, k0.conj()).ravel(), list(diags.items()), jumps
+
     def apply(self, rho):
-        """d rho/dt of a full matrix without the frame rate, each block on its own."""
-        v = self.spec.blocks(rho)
-        out = np.empty(rho.shape, dtype=complex)
-        o = self.spec.blocks(out)
-        for m in range(self.spec.n_cav):
-            for mp in range(self.spec.n_cav):
-                x = v[m, :, mp, :]
-                o[m, :, mp, :] = (self.drift[m] @ x + x @ self.drift_dag[mp]
-                                  + self.rest(v, m, mp))
+        """d rho/dt of a full matrix without the frame rate, by diagonals."""
+        diag0, diags, jumps = self._bands
+        dim = rho.shape[0]
+        r = rho.ravel()
+        flat = diag0 * r
+        out = flat.reshape(rho.shape)
+        for o, k in diags:
+            lo, hi, kc = max(0, -o), dim - max(0, o), k.conj()  # i with i + o inside rho
+            out[lo:hi] += k[lo:hi, None] * rho[lo + o:hi + o]  # K rho: rows shifted by o
+            # rho K+: columns shifted by o, as r shifted by o (kc[j] = 0 where j + o
+            # wraps a row) on all rows but the one it would take out of rho
+            full, part = (slice(1, dim), 0) if o < 0 else (slice(0, dim - 1), dim - 1)
+            out[full] += r[full.start * dim + o:full.stop * dim + o].reshape(-1, dim) * kc
+            out[part, lo:hi] += rho[part, lo + o:hi + o] * kc[lo:hi]
+        for s, w in jumps:  # J rho J+: rows and columns shifted by o, r by o (dim + 1)
+            lo, hi = max(0, -s), r.size - max(0, s)
+            flat[lo:hi] += w[lo:hi] * r[lo + s:hi + s]
         return out
+
+    def liouvillian(self, rho):
+        """d rho/dt of a full matrix, frame rate included."""
+        return self.apply(rho) + (self.frame_rate * self.spec.blocks(rho)).reshape(rho.shape)
 
 
 def _constrained_liouvillian(h, jumps):
@@ -169,8 +206,7 @@ def apply_liouvillian(ls, rho):
     h = ls.hamiltonian
     if r.shape != h.shape:
         raise ValueError(f"density matrix shape {r.shape} != Hamiltonian {h.shape}")
-    gen = _BlockGenerator(ls)
-    return gen.apply(r) + (gen.frame_rate * ls.spec.blocks(r)).reshape(r.shape)
+    return _BlockGenerator(ls).liouvillian(r)
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980) with Shampine's 4th-order dense
@@ -212,9 +248,9 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
 
     It takes the steps of ``scipy.integrate.solve_ivp(method="RK45")``: the
     same initial step (Hairer, Norsett & Wanner, Sec. II.4), RMS error norm,
-    controller and dense output. It fails (``success`` False) when the step
-    falls below ten spacings of t, or as soon as the error norm or the step
-    is not finite, where scipy's controller would retry a NaN step forever.
+    controller and dense output. It fails (``success`` False) when y0 or its
+    derivative, the error norm or the step is not finite (scipy's controller
+    would retry a NaN step forever) or the step falls below ten spacings of t.
     """
     t, t_end = map(float, t_span)
     t_eval = np.asarray(t_eval, dtype=float)
@@ -229,6 +265,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
         return fun(t, y)
 
     f = rhs(t, y)
+    if not (np.isfinite(y).all() and np.isfinite(f).all()):
+        return IvpResult(None, nfev, False, "initial state or its derivative is not finite")
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
@@ -250,11 +288,11 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
             h_abs = np.abs(h)
             k[0] = f
             for s in range(1, 6):
-                k[s] = rhs(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+                k[s] = rhs(t + _DP_C[s] * h, y + (_DP_A[s, :s] @ k[:s]) * h)
+            y_new = y + h * (_DP_B @ k[:-1])
             k[-1] = f_new = rhs(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(k.T, _DP_E) * h / scale)
+            error_norm = _rms((_DP_E @ k) * h / scale)
             if not np.isfinite(error_norm):
                 return IvpResult(None, nfev, False, f"error norm {error_norm} is not finite")
             if error_norm < 1:
@@ -269,7 +307,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
         if i_new > i_eval:
             x = (t_eval[i_eval:i_new] - t_old) / (t - t_old)
             p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            ys.append((t - t_old) * np.dot(k.T.dot(_DP_P), p) + y_old[:, None])
+            ys.append((t - t_old) * ((_DP_P.T @ k).T @ p) + y_old[:, None])
             i_eval = i_new
     return IvpResult(np.hstack(ys), nfev, True, "reached the end of the interval")
 
@@ -407,8 +445,8 @@ def _steady_ladder(ls, max_sweeps=200):
     Needs mechanical damping (the vacuum-block dissipator must have a unique
     fixed point), a diagonal H_00 and a drive weaker than the cavity
     linewidth (contraction of the hierarchy). Returns (state, None), or
-    (None, the reason) when these fail or the Gauss-Seidel sweeps have not
-    settled within ``max_sweeps``.
+    (None, the reason) when these fail, the Gauss-Seidel sweeps have not
+    settled within ``max_sweeps`` or the residual |d rho/dt| exceeds 1e-9.
     """
     spec = ls.spec
     nc = spec.n_cav
@@ -462,8 +500,12 @@ def _steady_ladder(ls, max_sweeps=200):
             break
     else:
         return None, f"not settled after {max_sweeps} sweeps"
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(spec, rho / np.trace(rho).real), None
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    del eig, solve00  # freed before the residual's tables: a lower peak memory
+    resid = np.abs(gen.liouvillian(rho)).max()
+    if not resid < 1e-9:
+        return None, f"residual {resid:.2e} above 1e-9"
+    return DensityMatrix(spec, rho), None
 
 
 def steady_state(ls, method="ladder"):
@@ -492,10 +534,8 @@ def steady_state(ls, method="ladder"):
         if ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.hamiltonian[0, 1:].any():
             return vacuum_density(ls.spec)  # vacuum is dark: exact fixed point
         rho, reason = _steady_ladder(ls)
-        resid = np.inf if rho is None else np.abs(apply_liouvillian(ls, rho)).max()
-        if resid < 1e-9:
+        if rho is not None:
             return rho
-        reason = reason or f"residual {resid:.2e} above 1e-9"
         warnings.warn(f"ladder falls back to direct: {reason}", SolverFallback, stacklevel=2)
         return _steady_direct(ls)
     raise ValueError(f"unknown steady-state method {method!r}")

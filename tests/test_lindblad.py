@@ -140,6 +140,49 @@ class TestLiouvillian:
         with pytest.raises(ValueError):
             apply_liouvillian(ls, np.eye(5))
 
+    @staticmethod
+    def _lindblad_case(case):
+        cat = SystemParams(g0=1.2, g_ck=0.3, kappa=0.1, gamma_m=0.01)
+        blockade = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, nbar_m=0.3,
+                                drive_amp=0.01, delta_c=-1.2)
+        if case == "lab-2x60-wc0":
+            return make_lindblad(cat.replace(omega_c=0.0), HilbertSpec(2, 60), frame="lab")
+        if case == "lab-2x60-wc100":
+            return make_lindblad(cat.replace(omega_c=100.0), HilbertSpec(2, 60), frame="lab")
+        ls = make_lindblad(blockade, HilbertSpec(4, 30), frame="rotating")
+        if case == "rotating-4x30":
+            return ls
+        # a dense Hermitian sector Hamiltonian: every offset inside each
+        # photon-number block is occupied, not only the tridiagonal ones
+        spec = ls.spec
+        rng = np.random.default_rng(7)
+        h = ls.hamiltonian.copy()
+        for m in range(spec.n_cav):
+            x = rng.normal(size=(spec.n_mech,) * 2) + 1j * rng.normal(size=(spec.n_mech,) * 2)
+            h[spec.block(m), spec.block(m)] += 0.05 * (x + x.conj().T)
+        return dataclasses.replace(ls, hamiltonian=h)
+
+    @pytest.mark.parametrize("case", ["lab-2x60-wc0", "lab-2x60-wc100", "rotating-4x30",
+                                      "dense-sector-h"])
+    def test_banded_apply_matches_block_form(self, case):
+        # the block form the ladder iterates, block by block: G_m x + x G_mp^+
+        # + rest; apply evaluates the same terms by diagonals of the whole
+        # matrix, so the two differ by the summation order alone
+        ls = self._lindblad_case(case)
+        gen = lindblad._BlockGenerator(ls)
+        spec = ls.spec
+        rng = np.random.default_rng(11)
+        rho = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+        v = spec.blocks(rho)
+        want = np.empty_like(rho)
+        for m in range(spec.n_cav):
+            for mp in range(spec.n_cav):
+                x = v[m, :, mp, :]
+                spec.blocks(want)[m, :, mp, :] = (gen.drift[m] @ x + x @ gen.drift[mp].conj().T
+                                                  + gen.rest(v, m, mp))
+        got = gen.apply(rho)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestEvolve:
     def test_unitary_limit_matches_expm(self):
@@ -249,10 +292,8 @@ class TestEvolve:
         else:
             rho0 = rho0.copy()
             rho0[0, 0] = np.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # NaN / NaN in the error scale
-            with pytest.raises(StepSizeUnderflow, match="not finite"):
-                evolve(ls, rho0, np.array([0.0, 1.0]))
+        with pytest.raises(StepSizeUnderflow, match="not finite"):
+            evolve(ls, rho0, np.array([0.0, 1.0]))
 
 
 class TestSolveIvp:
@@ -414,6 +455,20 @@ class TestSteadyState:
             with pytest.warns(SolverFallback, match="photon-vacuum Hamiltonian is not diagonal"):
                 rho = steady_state(ls)
             assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
+
+    def test_residual_gate_names_its_reason(self):
+        # a driven state in a frame with omega_c != 0: the ladder solves the
+        # generator without the frame rate, and the full generator's
+        # -i omega_c (m - m') moves the photon coherences of that state, so
+        # its residual fails the 1e-9 gate
+        spec = HilbertSpec(3, 6)
+        p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=0.01)
+        ls = make_lindblad(p, spec, frame="rotating")
+        ls = dataclasses.replace(ls, omega_c=3.0,
+                                 hamiltonian=ls.hamiltonian + 3.0 * build_mode_operators(spec).n_a)
+        with pytest.warns(SolverFallback, match=r"residual \S+ above 1e-9"):
+            rho = steady_state(ls)
+        assert np.abs(rho.rho - steady_state(ls, method="direct").rho).max() == 0.0
 
     def test_unknown_method(self):
         ls = make_lindblad(SystemParams(kappa=0.1, gamma_m=0.01), HilbertSpec(2, 4))
