@@ -21,7 +21,7 @@ from .model import (
 from .operators import (
     HilbertSpec,
     PropagatorFactors,
-    build_h_gom,
+    build_h_sectors,
     build_mode_operators,
     expm,
     propagator_factored,

@@ -11,6 +11,7 @@ import numpy as np
 
 from .model import effective_mech_freq
 from .lindblad import DensityMatrix
+from .operators import propagator_factors
 from .errors import DegenerateBranch, TruncationLoss
 
 _DEGENERACY_FLOOR = 1e-12
@@ -55,12 +56,10 @@ def detection_time(params):
 
 
 def beta_theta(t, params):
-    """Mechanical displacement beta(t) and accumulated phase theta(t) of the
-    single-photon branch."""
-    w = effective_mech_freq(1, params)
-    beta = params.g0 * (1.0 - np.exp(1j * (params.g_ck - params.omega_m) * t)) / w
-    theta = -params.omega_c * t + params.g0**2 * (w * t - np.sin(w * t)) / w**2
-    return complex(beta), float(theta)
+    """Mechanical displacement beta(t) = lambda_1 and accumulated phase
+    theta(t) = -omega_c t + mu_1 - nu_1 of the single-photon branch."""
+    f = propagator_factors(t, params, 2)
+    return complex(f.lam[1]), float(-params.omega_c * t + f.mu[1] - f.nu[1])
 
 
 def cat_snapshot(t, params):

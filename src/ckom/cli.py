@@ -23,7 +23,7 @@ import numpy as np
 
 from . import blockade, catstate, quasiprob
 from .model import SystemParams, delta_m, optimal_detuning, resonance_curve_g0
-from .operators import HilbertSpec, build_h_gom, expm, propagator_factored, propagator_factors
+from .operators import HilbertSpec, build_h_sectors, expm, propagator_factored, propagator_factors
 from .specfun import displacement_matrix, safe_interior_dim
 from .lindblad import make_lindblad, steady_state, evolve, observables
 from .errors import DegenerateBranch, NumericalError
@@ -458,27 +458,25 @@ def cmd_quadrature(args, config, params, spec):
 
 
 def _verify_propagator(params, n_mech, n_oracle, times, tol):
-    """Factored propagator against the dense matrix exponential, with the
-    exponential evaluated in a truncation large enough to contain every
-    displaced sector; entries compared on the retained block."""
+    """Factored propagator against the matrix exponential of each photon-number
+    sector, evaluated in a truncation large enough to contain every displaced
+    sector; entries compared on the retained block."""
     spec = HilbertSpec(n_cav=3, n_mech=n_mech)
-    big = HilbertSpec(n_cav=3, n_mech=n_oracle)
-    h_big = build_h_gom(big, params)
+    sectors = build_h_sectors(HilbertSpec(n_cav=3, n_mech=n_oracle), params)
     worst = 0.0
     worst_flipped = np.inf
-    keep = np.concatenate([m * n_oracle + np.arange(n_mech) for m in range(3)])
     for t in times:
-        u_fact = propagator_factored(t, params, spec)
-        u_oracle = expm(h_big, -1j * t)[np.ix_(keep, keep)]
-        worst = max(worst, float(np.abs(u_fact - u_oracle).max()))
+        u_fact = spec.blocks(propagator_factored(t, params, spec))
+        nu = propagator_factors(t, params, 3).nu
+        dev = dev_flipped = 0.0
+        for m in range(3):
+            u_oracle = expm(sectors[m], -1j * t)[:n_mech, :n_mech]
+            dev = max(dev, float(np.abs(u_fact[m, :, m, :] - u_oracle).max()))
+            u_flip = u_fact[m, :, m, :] * np.exp(2j * nu[m] * m**3)
+            dev_flipped = max(dev_flipped, float(np.abs(u_flip - u_oracle).max()))
+        worst = max(worst, dev)
         if t > 0:
-            factors = propagator_factors(t, params, spec)
-            u_flip = u_fact.copy()
-            for m in range(3):
-                u_flip[spec.block(m), spec.block(m)] *= np.exp(2j * factors.nu[m] * m**3)
-            worst_flipped = min(
-                worst_flipped, float(np.abs(u_flip - u_oracle).max())
-            )
+            worst_flipped = min(worst_flipped, dev_flipped)
     return worst < tol and worst_flipped > tol, worst, worst_flipped
 
 
@@ -497,12 +495,11 @@ def cmd_verify(args, config, cat_params, spec):
     # unitarity of the factored propagator on a displacement-safe block
     spec = HilbertSpec(n_cav=2, n_mech=120)
     t_s = catstate.detection_time(cat_params)
-    u = propagator_factored(t_s, cat_params, spec)
-    lam = propagator_factors(t_s, cat_params, spec).lam
+    u = spec.blocks(propagator_factored(t_s, cat_params, spec))
+    lam = propagator_factors(t_s, cat_params, spec.n_cav).lam
     k = safe_interior_dim(abs(lam[1]), spec.n_mech)
-    keep = np.concatenate([m * spec.n_mech + np.arange(k) for m in range(2)])
-    gram = (u.conj().T @ u)[np.ix_(keep, keep)]
-    dev_unit = float(np.abs(gram - np.eye(keep.size)).max())
+    dev_unit = max(float(np.abs((u[m, :, m, :].conj().T @ u[m, :, m, :])[:k, :k]
+                                - np.eye(k)).max()) for m in range(2))
     checks.append(("propagator-unitarity", dev_unit < 1e-8, f"max dev {dev_unit:.2e}"))
 
     # Franck-Condon completeness: displaced-state rows resolve to unit weight

@@ -19,8 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import HilbertSpec, build_h_gom, build_mode_operators, destroy
+from .operators import HilbertSpec, build_h_sectors, build_mode_operators, destroy
 from .errors import NonConvergence, SolverFallback, StepSizeUnderflow, ZeroPhotonNumber
+
+_MAX_SWEEPS = 200  # Gauss-Seidel sweeps of the ladder before it gives up
 
 
 @dataclass(frozen=True)
@@ -31,14 +33,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian ``hamiltonian`` + ``drive`` (a+ + a) on ``spec``, the matrix
-    its photon-number-conserving part, and the rates of the decay channels:
-    ``kappa`` on a, ``gamma_down`` = gamma_m (nbar+1) on b and ``gamma_up`` =
-    gamma_m nbar on b+. ``omega_c`` is the frame's a+a frequency: 0 in the
-    rotating frame, whose drive does not commute with a+a."""
+    """Hamiltonian omega_c a+a + sum_m H_m + ``drive`` (a+ + a) on ``spec``, with
+    H_m = ``sectors[m]`` the m-photon sector of its a+a-conserving part and
+    ``omega_c`` the frame's a+a frequency (0 in the rotating frame, whose drive
+    does not commute with a+a), and the rates of the decay channels: ``kappa``
+    on a, ``gamma_down`` = gamma_m (nbar+1) on b and ``gamma_up`` = gamma_m nbar on b+."""
 
     spec: HilbertSpec
-    hamiltonian: np.ndarray
+    sectors: np.ndarray
     drive: float
     kappa: float
     gamma_down: float
@@ -51,13 +53,13 @@ def make_lindblad(params, spec, frame="rotating"):
     detuned by delta_c and driven by drive_amp (``frame="rotating"``), or the
     undriven lab-frame one (``frame="lab"``, used for the cat-state runs)."""
     if frame == "rotating":
-        h = build_h_gom(spec, params.replace(omega_c=params.delta_c))
-        drive, omega_c = params.drive_amp, 0.0
+        detuning, drive, omega_c = params.delta_c, params.drive_amp, 0.0
     elif frame == "lab":
-        h, drive, omega_c = build_h_gom(spec, params), 0.0, params.omega_c
+        detuning, drive, omega_c = 0.0, 0.0, params.omega_c
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    return LindbladSpec(spec=spec, hamiltonian=h, drive=drive, kappa=params.kappa,
+    sectors = build_h_sectors(spec, params.replace(omega_c=detuning))
+    return LindbladSpec(spec=spec, sectors=sectors, drive=drive, kappa=params.kappa,
                         gamma_down=params.gamma_m * (params.nbar_m + 1.0),
                         gamma_up=params.gamma_m * params.nbar_m, omega_c=omega_c)
 
@@ -81,8 +83,8 @@ class _BlockGenerator:
         d rho^{m mp}/dt = G_m rho^{m mp} + rho^{m mp} G_mp^+ + rest(m, mp)
                           - i omega_c (m - mp) rho^{m mp}
 
-    with the sector drifts G_m = -i (H_mm - omega_c m) - kappa m/2 -
-    (gamma_down b+b + gamma_up b b+)/2, and ``rest`` the drive couplings
+    with the sector drifts G_m = -i H_m - kappa m/2 - (gamma_down b+b +
+    gamma_up b b+)/2, H_m = ``sectors[m]``, and ``rest`` the drive couplings
     Omega sqrt(m+1), the photon feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1}
     and the mechanical jumps gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
     The frame's omega_c a+a commutes with all else: ``apply`` leaves its rate
@@ -93,14 +95,13 @@ class _BlockGenerator:
     def __init__(self, ls):
         self.spec = spec = ls.spec
         self.kappa, self.gamma_down, self.gamma_up = ls.kappa, ls.gamma_down, ls.gamma_up
-        h = spec.blocks(ls.hamiltonian)
         b = destroy(spec.n_mech)
         damp = 0.5 * (ls.gamma_down * (b.conj().T @ b) + ls.gamma_up * (b @ b.conj().T))
-        eye = np.eye(spec.n_mech)
-        w = ls.omega_c * np.arange(spec.n_cav)
+        m = np.arange(spec.n_cav)
+        w = ls.omega_c * m
         self.frame_rate = -1j * (w[:, None, None, None] - w[None, None, :, None])
-        self.drift = [-1j * (h[m, :, m, :] - w[m] * eye) - 0.5 * ls.kappa * m * eye - damp
-                      for m in range(spec.n_cav)]
+        self.drift = (-1j * ls.sectors - 0.5 * ls.kappa * m[:, None, None] * np.eye(spec.n_mech)
+                      - damp)
         self.drive = ls.drive * np.sqrt(np.arange(1.0, spec.n_cav))  # <m+1|H|m>
         self.mech_root = np.sqrt(np.arange(1.0, spec.n_mech))  # <q|b|q+1>
         self.jump_weight = np.outer(self.mech_root, self.mech_root)
@@ -132,7 +133,7 @@ class _BlockGenerator:
         by nonzero diagonals: K's at the drift blocks' offsets and +-n_mech (the
         drive), and the weights of the jumps a, b, b+ (offsets n_mech, 1, -1)."""
         nc, nm, dim = self.spec.n_cav, self.spec.n_mech, self.spec.dim
-        g, q = np.array(self.drift), np.arange(nm)
+        g, q = self.drift, np.arange(nm)
         diags = {}  # offset o: K[i, i + o] for every i
         rows, cols = np.nonzero(np.any(g != 0, axis=0))
         for o in sorted(set((cols - rows).tolist())):
@@ -203,9 +204,8 @@ def _constrained_liouvillian(h, jumps):
 def apply_liouvillian(ls, rho):
     """Right-hand side drho/dt for a density matrix (returns a plain matrix)."""
     r = _as_matrix(rho)
-    h = ls.hamiltonian
-    if r.shape != h.shape:
-        raise ValueError(f"density matrix shape {r.shape} != Hamiltonian {h.shape}")
+    if r.shape != (ls.spec.dim,) * 2:
+        raise ValueError(f"density matrix shape {r.shape} does not fit dim {ls.spec.dim}")
     return _BlockGenerator(ls).liouvillian(r)
 
 
@@ -267,7 +267,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     f = rhs(t, y)
     if not (np.isfinite(y).all() and np.isfinite(f).all()):
         return IvpResult(None, nfev, False, "initial state or its derivative is not finite")
-    scale = atol + np.abs(y) * rtol
+    abs_y = np.abs(y)
+    scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
     d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
@@ -291,7 +292,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
                 k[s] = rhs(t + _DP_C[s] * h, y + (_DP_A[s, :s] @ k[:s]) * h)
             y_new = y + h * (_DP_B @ k[:-1])
             k[-1] = f_new = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
             error_norm = _rms((_DP_E @ k) * h / scale)
             if not np.isfinite(error_norm):
                 return IvpResult(None, nfev, False, f"error norm {error_norm} is not finite")
@@ -301,7 +303,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
             rejected = True
         factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
         h_abs *= min(1, factor) if rejected else factor
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        t_old, y_old, t, y, f, abs_y = t, y, t_new, y_new, f_new, abs_new
         # every t_eval up to and including the new t, from the step's interpolant
         i_new = np.searchsorted(t_eval, t, side="right")
         if i_new > i_eval:
@@ -357,6 +359,15 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     return states
 
 
+def _full_hamiltonian(ls, ops):
+    """The full-space H of ``ls``: its sectors on the diagonal blocks, plus
+    omega_c a+a and the drive Omega (a+ + a) from the mode operators ``ops``."""
+    h = ls.omega_c * ops.n_a + ls.drive * (ops.a_dag + ops.a)
+    for m, h_m in enumerate(ls.sectors):
+        h[ls.spec.block(m), ls.spec.block(m)] += h_m
+    return h
+
+
 def _steady_direct(ls):
     """Null vector of the vectorized Liouvillian with the trace constraint,
     built from the full-space mode operators, drive included, independently
@@ -366,7 +377,7 @@ def _steady_direct(ls):
     d = ls.spec.dim
     ops = build_mode_operators(ls.spec)
     liou = _constrained_liouvillian(
-        ls.hamiltonian + ls.drive * (ops.a_dag + ops.a),
+        _full_hamiltonian(ls, ops),
         ((ops.a, ls.kappa), (ops.b, ls.gamma_down), (ops.b_dag, ls.gamma_up)))
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
@@ -429,7 +440,7 @@ def _vacuum_solver(energies, gamma_down, gamma_up):
     return solve
 
 
-def _steady_ladder(ls, max_sweeps=200):
+def _steady_ladder(ls):
     """Steady state solved block-by-block in the photon indices.
 
     At weak drive the block magnitudes fall off as Omega^{m+m'}, so a global
@@ -446,15 +457,14 @@ def _steady_ladder(ls, max_sweeps=200):
     fixed point), a diagonal H_00 and a drive weaker than the cavity
     linewidth (contraction of the hierarchy). Returns (state, None), or
     (None, the reason) when these fail, the Gauss-Seidel sweeps have not
-    settled within ``max_sweeps`` or the residual |d rho/dt| exceeds 1e-9.
+    settled within ``_MAX_SWEEPS`` or the residual |d rho/dt| exceeds 1e-9.
     """
     spec = ls.spec
     nc = spec.n_cav
     if ls.gamma_down <= 0.0:
         return None, "no mechanical damping"
-    h00 = spec.blocks(ls.hamiltonian)[0, :, 0, :]
-    energies = np.diagonal(h00)
-    if np.count_nonzero(h00 - np.diag(energies)):
+    energies = np.diagonal(ls.sectors[0])
+    if np.count_nonzero(ls.sectors[0] - np.diag(energies)):
         return None, "photon-vacuum Hamiltonian is not diagonal"
     if abs(ls.drive) * np.sqrt(nc - 1.0) > 0.5 * ls.kappa * nc:
         return None, "drive too strong for the contraction test"
@@ -472,7 +482,7 @@ def _steady_ladder(ls, max_sweeps=200):
     order = sorted(
         ((m, mp) for m in range(nc) for mp in range(m, nc)), key=lambda t: t[0] + t[1]
     )
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         delta = 0.0
         scale = 0.0
         for m, mp in order:
@@ -499,7 +509,7 @@ def _steady_ladder(ls, max_sweeps=200):
         if delta <= 1e-15 * max(scale, 1.0):
             break
     else:
-        return None, f"not settled after {max_sweeps} sweeps"
+        return None, f"not settled after {_MAX_SWEEPS} sweeps"
     rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
     del eig, solve00  # freed before the residual's tables: a lower peak memory
     resid = np.abs(gen.liouvillian(rho)).max()
@@ -530,8 +540,8 @@ def steady_state(ls, method="ladder"):
         return _steady_direct(ls)
     if method == "ladder":
         # a and b annihilate the vacuum; only the drive, b+ and a force on
-        # the mechanics in the photon vacuum (hamiltonian row 0) lift it
-        if ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.hamiltonian[0, 1:].any():
+        # the mechanics in the photon vacuum (row 0 of sector 0) lift it
+        if ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.sectors[0][0, 1:].any():
             return vacuum_density(ls.spec)  # vacuum is dark: exact fixed point
         rho, reason = _steady_ladder(ls)
         if rho is not None:

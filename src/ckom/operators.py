@@ -1,8 +1,8 @@
-"""Truncated two-mode Hilbert space, Hamiltonians, and the factored propagator.
+"""Truncated two-mode Hilbert space, Hamiltonian sectors and the factored propagator.
 
 Tensor ordering is cavity-major: basis index i = m * n_mech + n, so photon-
-number sectors are contiguous blocks. Matrices are dense complex; the largest
-spaces used by the command-line runs are a few hundred dimensions.
+number sectors are contiguous blocks. Matrices are dense; the largest spaces
+used by the command-line runs are a few hundred dimensions.
 """
 
 from dataclasses import dataclass
@@ -52,7 +52,6 @@ class ModeOperators:
     b: np.ndarray
     b_dag: np.ndarray
     n_a: np.ndarray
-    n_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,45 +82,37 @@ def build_mode_operators(spec):
         b=b,
         b_dag=b.conj().T,
         n_a=a.conj().T @ a,
-        n_b=b.conj().T @ b,
     )
 
 
-def build_h_gom(spec, params):
-    """Lab-frame Hamiltonian
-    omega_c a+a + omega_m b+b - g0 a+a (b+ + b) - g_ck a+a b+b.
-    """
-    ops = build_mode_operators(spec)
-    return (
-        params.omega_c * ops.n_a
-        + params.omega_m * ops.n_b
-        - params.g0 * ops.n_a @ (ops.b_dag + ops.b)
-        - params.g_ck * ops.n_a @ ops.n_b
-    )
+def build_h_sectors(spec, params):
+    """The a+a-conserving lab-frame Hamiltonian omega_c a+a + omega_m b+b -
+    g0 a+a (b+ + b) - g_ck a+a b+b as its photon-number sectors, real symmetric
+    H_m = omega_c m + (omega_m - g_ck m) b+b - g0 m (b+ + b), shape (n_cav, n_mech, n_mech)."""
+    m = np.arange(spec.n_cav)[:, None]
+    n = np.arange(spec.n_mech)
+    h = np.zeros((spec.n_cav, spec.n_mech, spec.n_mech))
+    h[:, n, n] = params.omega_c * m + (params.omega_m - params.g_ck * m) * n
+    h[:, n[1:], n[:-1]] = h[:, n[:-1], n[1:]] = -params.g0 * m * np.sqrt(n[1:])
+    return h
 
 
 def expm(mat, scalar=1.0):
-    """Matrix exponential of scalar * mat.
-
-    Hermitian inputs (with real or purely imaginary scalar) go through an
-    eigendecomposition; everything else uses scipy's scaling-and-squaring
-    Pade, imported only here.
-    """
+    """Matrix exponential of scalar * mat for a Hermitian mat (real or purely
+    imaginary scalar for a unitary or a thermal operator), by
+    eigendecomposition; any other mat is a ValueError."""
     mat = np.asarray(mat)
-    if mat.shape[0] != mat.shape[1]:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix exponential needs a square matrix")
-    herm = np.abs(mat - mat.conj().T).max() <= 1e-13 * max(np.abs(mat).max(), 1.0)
-    if herm:
-        w, v = np.linalg.eigh(mat)
-        return (v * np.exp(scalar * w)) @ v.conj().T
-    from scipy.linalg import expm as pade_expm
-
-    return pade_expm(scalar * mat)
+    if np.abs(mat - mat.conj().T).max() > 1e-13 * max(np.abs(mat).max(), 1.0):
+        raise ValueError("matrix exponential needs a Hermitian matrix")
+    w, v = np.linalg.eigh(mat)
+    return (v * np.exp(scalar * w)) @ v.conj().T
 
 
-def propagator_factors(t, params, spec):
+def propagator_factors(t, params, n_cav):
     """mu_m, nu_m, lambda_m for every photon number m < n_cav at time t."""
-    m = np.arange(spec.n_cav)
+    m = np.arange(n_cav)
     w = np.array([effective_mech_freq(int(mm), params) for mm in m])
     g0 = params.g0
     mu = g0**2 * (params.omega_m * t - np.sin(w * t)) / w**2
@@ -140,7 +131,7 @@ def propagator_factored(t, params, spec):
     block m has amplitude m*lam[m] and is built from the exact Fock matrix
     elements, so the retained entries are independent of the cutoff.
     """
-    f = propagator_factors(t, params, spec)
+    f = propagator_factors(t, params, spec.n_cav)
     nm = spec.n_mech
     u = np.zeros((spec.dim, spec.dim), dtype=complex)
     rot_freqs = np.arange(nm)

@@ -1,6 +1,9 @@
-"""Hilbert-space builders and the factored propagator.
+"""Hilbert-space builders, the Hamiltonian's photon-number sectors and the
+factored propagator.
 
-The factored form is checked against dense matrix exponentials; wherever a
+The sectors are checked against the full-space Hamiltonian built from
+Kronecker products of the mode operators, and the factored form against
+dense matrix exponentials of the sectors; wherever a
 truncated operator is compared entrywise, the compared block is sized so the
 displaced sectors stay inside the cutoff (a displaced Fock state |l> reaches
 up to about l + 2|x|sqrt(l) + |x|^2).
@@ -9,14 +12,25 @@ up to about l + 2|x|sqrt(l) + |x|^2).
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from ckom.model import SystemParams, delta_m, effective_mech_freq
-from ckom import operators
+from ckom import lindblad, operators
 from ckom.operators import HilbertSpec
 from ckom.specfun import displacement_matrix, safe_interior_dim
 
 FIG2 = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1)
 CAT = SystemParams(g0=1.2, g_ck=0.3, omega_c=0.0)
+
+
+def kron_hamiltonian(spec, params):
+    """Lab-frame H = omega_c a+a + omega_m b+b - g0 a+a (b+ + b) - g_ck a+a b+b
+    on the full space, from the Kronecker-product mode operators: the oracle
+    of the sector builder."""
+    ops = operators.build_mode_operators(spec)
+    n_b = ops.b_dag @ ops.b
+    return (params.omega_c * ops.n_a + params.omega_m * n_b
+            - params.g0 * ops.n_a @ (ops.b_dag + ops.b) - params.g_ck * ops.n_a @ n_b)
 
 
 class TestModeOperators:
@@ -47,28 +61,65 @@ class TestHamiltonians:
     def test_decoupled_limit_is_diagonal(self):
         spec = HilbertSpec(3, 4)
         p = SystemParams(g0=0.0, g_ck=0.0, omega_c=2.5)
-        h = operators.build_h_gom(spec, p)
-        assert np.allclose(h, np.diag(np.diagonal(h)))
+        h = operators.build_h_sectors(spec, p)
+        assert h.shape == (3, 4, 4)
         for m in range(3):
-            for n in range(4):
-                assert np.isclose(h[spec.index(m, n), spec.index(m, n)].real, 2.5 * m + n)
+            assert np.array_equal(h[m], np.diag(2.5 * m + np.arange(4.0)))
 
     def test_hermitian_and_photon_conserving(self):
+        # one real symmetric block per photon number: a+a is conserved by
+        # construction, and the oracle test below checks that the full-space
+        # H couples no two photon numbers
         spec = HilbertSpec(4, 10)
-        h = operators.build_h_gom(spec, FIG2)
-        assert np.abs(h - h.conj().T).max() < 1e-12
+        h = operators.build_h_sectors(spec, FIG2)
+        assert h.shape == (4, 10, 10) and h.dtype == float
+        assert np.array_equal(h, h.transpose(0, 2, 1))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        n_cav=st.integers(2, 5),
+        n_mech=st.integers(2, 12),
+        omega_c=st.floats(-5.0, 1000.0),
+        omega_m=st.floats(0.5, 2.0),
+        g0=st.floats(0.0, 2.0),
+        g_ck=st.floats(0.0, 0.3),
+    )
+    def test_sectors_match_kron_oracle(self, n_cav, n_mech, **physics):
+        spec = HilbertSpec(n_cav, n_mech)
+        p = SystemParams(**physics)
+        full = spec.blocks(kron_hamiltonian(spec, p))
+        h = operators.build_h_sectors(spec, p)
+        scale = np.abs(full).max()
+        for m in range(n_cav):
+            for mp in range(n_cav):
+                if mp != m:
+                    assert not full[m, :, mp, :].any()
+            assert np.abs(h[m] - full[m, :, m, :]).max() <= 1e-13 * scale
+
+    def test_direct_solver_hamiltonian_matches_kron_oracle(self):
+        # the full-space H the direct steady state assembles from the sectors:
+        # the oracle at the detuning plus the drive in the rotating frame, the
+        # oracle itself (omega_c a+a included) in the lab frame
+        spec = HilbertSpec(3, 12)
+        p = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, drive_amp=0.03,
+                         delta_c=-0.4, omega_c=100.0)
         ops = operators.build_mode_operators(spec)
-        assert np.abs(ops.n_a @ h - h @ ops.n_a).max() == 0.0
+        for frame, want in [
+            ("rotating", kron_hamiltonian(spec, p.replace(omega_c=p.delta_c))
+             + p.drive_amp * (ops.a_dag + ops.a)),
+            ("lab", kron_hamiltonian(spec, p)),
+        ]:
+            got = lindblad._full_hamiltonian(lindblad.make_lindblad(p, spec, frame=frame), ops)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_block_eigenvalues_match_closed_form(self):
         spec = HilbertSpec(4, 60)
-        h = operators.build_h_gom(spec, FIG2.replace(omega_c=3.0))
         p = FIG2.replace(omega_c=3.0)
+        h = operators.build_h_sectors(spec, p)
         # the m-photon sector is a displaced oscillator; its converged range
         # shrinks with the displacement xi_m (2.15 for m = 2)
         for m, n_check in [(0, 30), (1, 30), (2, 18)]:
-            blk = h[spec.block(m), spec.block(m)]
-            ev = np.sort(sla.eigvalsh(blk))
+            ev = np.sort(sla.eigvalsh(h[m]))
             # lab-frame eigenvalues m omega_c + (omega_m - m g_ck) n - delta_m
             n = np.arange(n_check)
             ref = m * p.omega_c + effective_mech_freq(m, p) * n - delta_m(m, p)
@@ -76,11 +127,10 @@ class TestHamiltonians:
 
     def test_coupling_matrix_element(self):
         spec = HilbertSpec(4, 8)
-        h = operators.build_h_gom(spec, FIG2)
+        h = operators.build_h_sectors(spec, FIG2)
         for m in range(4):
             for n in range(7):
-                val = h[spec.index(m, n + 1), spec.index(m, n)]
-                assert np.isclose(val, -FIG2.g0 * m * np.sqrt(n + 1.0), rtol=1e-14)
+                assert np.isclose(h[m, n + 1, n], -FIG2.g0 * m * np.sqrt(n + 1.0), rtol=1e-14)
 
 
 class TestExpm:
@@ -96,19 +146,19 @@ class TestExpm:
             operators.expm(np.zeros((2, 3)))
 
     def test_displacement_generator_matches_closed_form(self):
-        # cross-module oracle: expm of x(b+ - b) against the Fock elements
+        # cross-module oracle: expm of x(b+ - b) = -i (i x (b+ - b)), the
+        # latter Hermitian, against the Fock elements
         x = 0.9
         dim = 80
         b = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-        gen = x * (b.conj().T - b)
-        via_expm = operators.expm(gen)
+        via_expm = operators.expm(1j * x * (b.conj().T - b), -1j)
         closed = displacement_matrix(x, dim)
         k = safe_interior_dim(x, dim)
         assert np.abs(via_expm[:k, :k] - closed[:k, :k]).max() < 1e-8
 
     def test_expm_unitary_on_plain_hamiltonian(self):
         spec = HilbertSpec(2, 3)
-        h = operators.build_h_gom(spec, FIG2)
+        h = kron_hamiltonian(spec, FIG2)
         assert isinstance(h, np.ndarray)
         res = operators.expm(h, -1j * 0.3)
         assert np.allclose(res @ res.conj().T, np.eye(spec.dim), atol=1e-12)
@@ -117,33 +167,33 @@ class TestExpm:
 class TestPropagatorFactors:
     def test_zero_time(self):
         spec = HilbertSpec(3, 4)
-        f = operators.propagator_factors(0.0, CAT, spec)
+        f = operators.propagator_factors(0.0, CAT, spec.n_cav)
         assert np.allclose(f.mu, 0.0) and np.allclose(f.nu, 0.0) and np.allclose(f.lam, 0.0)
 
     def test_empty_cavity_factor(self):
         spec = HilbertSpec(3, 4)
         t = 0.8
-        f = operators.propagator_factors(t, CAT, spec)
+        f = operators.propagator_factors(t, CAT, spec.n_cav)
         expected = CAT.g0 * (1.0 - np.exp(-1j * CAT.omega_m * t)) / CAT.omega_m
         assert np.isclose(f.lam[0], expected, rtol=1e-14)
 
     def test_half_period_displacement(self):
         spec = HilbertSpec(2, 4)
         t = np.pi / 0.7
-        f = operators.propagator_factors(t, CAT, spec)
+        f = operators.propagator_factors(t, CAT, spec.n_cav)
         assert np.isclose(f.lam[1], 2.0 * 1.2 / 0.7, rtol=1e-12)
         assert abs(f.lam[1].imag) < 1e-12
 
     def test_nu_is_linear_in_time(self):
         spec = HilbertSpec(3, 4)
-        f1 = operators.propagator_factors(0.7, CAT, spec)
-        f2 = operators.propagator_factors(1.4, CAT, spec)
+        f1 = operators.propagator_factors(0.7, CAT, spec.n_cav)
+        f2 = operators.propagator_factors(1.4, CAT, spec.n_cav)
         assert np.allclose(2.0 * f1.nu, f2.nu, rtol=1e-14)
 
     def test_lambda_vanishes_at_full_revival(self):
         spec = HilbertSpec(2, 4)
         t = 2.0 * np.pi / (CAT.omega_m - CAT.g_ck)
-        f = operators.propagator_factors(t, CAT, spec)
+        f = operators.propagator_factors(t, CAT, spec.n_cav)
         assert abs(f.lam[1]) < 1e-13
 
 
@@ -165,7 +215,7 @@ class TestPropagatorFactored:
         spec = HilbertSpec(2, 120)
         t = np.pi / 0.7
         u = operators.propagator_factored(t, CAT, spec)
-        lam = operators.propagator_factors(t, CAT, spec).lam
+        lam = operators.propagator_factors(t, CAT, spec.n_cav).lam
         k = safe_interior_dim(abs(lam[1]), spec.n_mech)
         keep = np.concatenate([m * spec.n_mech + np.arange(k) for m in range(2)])
         gram = (u.conj().T @ u)[np.ix_(keep, keep)]
@@ -187,7 +237,7 @@ class TestPropagatorFactored:
         # that every displaced sector fits far below the cutoff
         p = SystemParams(g0=0.3, g_ck=0.075, omega_c=1.7)
         spec = HilbertSpec(3, 60)
-        h = operators.build_h_gom(spec, p)
+        h = kron_hamiltonian(spec, p)
         keep = np.r_[0:20, 60:80, 120:140]
         for t in np.linspace(0.1, 2 * np.pi / 0.925, 5):
             u_fact = operators.propagator_factored(t, p, spec)
@@ -232,10 +282,10 @@ class TestPropagatorFactored:
         p = SystemParams(g0=0.3, g_ck=0.075, omega_c=1.7)
         spec = HilbertSpec(3, 40)
         t = 1.9
-        h = operators.build_h_gom(spec, p)
+        h = kron_hamiltonian(spec, p)
         u_ref = operators.expm(h, -1j * t)
         u = operators.propagator_factored(t, p, spec)
-        f = operators.propagator_factors(t, p, spec)
+        f = operators.propagator_factors(t, p, spec.n_cav)
         for m in range(3):
             u[spec.block(m), spec.block(m)] *= np.exp(2j * f.nu[m] * m**3)
         keep = np.r_[0:20, 40:60, 80:100]
