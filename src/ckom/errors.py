@@ -15,11 +15,15 @@ class NonConvergedSum(NumericalError, RuntimeError):
 
 
 class NonConvergence(NumericalError, RuntimeError):
-    """Relaxation toward the steady state did not settle within the time budget."""
+    """The direct steady-state solve failed: the vectorized Liouvillian is
+    singular (the steady state is not unique), or the solution's residual
+    exceeds its 1e-9 gate."""
 
 
 class StepSizeUnderflow(NumericalError, RuntimeError):
-    """The adaptive integrator could not take a step at the requested tolerance."""
+    """Time evolution failed: the adaptive integrator could not take a finite
+    step at the requested tolerance, the state or its derivative is not
+    finite, or the state drifted from Hermitian by more than 1e-7."""
 
 
 class ZeroPhotonNumber(NumericalError, ArithmeticError):

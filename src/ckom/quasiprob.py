@@ -1,9 +1,9 @@
 """Wigner functions and rotated-quadrature distributions for the mechanics.
 
-Analytic forms exist for the pure cat branches; the numeric routes work for
-any mechanical density matrix (in particular the open-system conditioned
-ones) through exact displacement matrix elements and oscillator
-eigenfunctions evaluated by stable recurrences.
+The pure cat branches have closed forms built from coherent states alone; the
+numeric routes work for any mechanical density matrix (in particular the
+open-system conditioned ones) through exact displacement matrix elements and
+oscillator eigenfunctions evaluated by stable recurrences.
 
 Conventions: W(eta) = (2/pi) Tr[rho D(eta) e^{i pi b+b} D+(eta)] with measure
 d(Re eta) d(Im eta), so the Wigner function integrates to 1; the quadrature
@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catstate import _ideal_branch, beta_theta, cat_state_vector
+from .catstate import _ideal_branch
 from .specfun import laguerre_rows, log_factorial
 from .errors import TruncationLoss
-
-_TERM_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -28,21 +26,33 @@ class PhaseSpaceGrid:
     values: np.ndarray             # (n_re, n_im) for wigner, (n_x,) for quadrature
 
 
-def wigner_cat_points(t, sign, params, eta):
-    """Analytic cat-branch Wigner function at arbitrary complex points."""
+def wigner_cat_analytic(t, sign, params, re_axis, im_axis):
+    """Analytic cat-branch Wigner function on the grid re_axis x im_axis."""
     s, beta, theta, norm = _ideal_branch(t, sign, params)
-    eta = np.asarray(eta, dtype=complex)
+    eta = re_axis[:, None] + 1j * im_axis[None, :]
     gauss0 = np.exp(-2.0 * np.abs(eta) ** 2)
     gauss1 = np.exp(-2.0 * np.abs(beta - eta) ** 2)
     cross = np.exp(-0.5 * abs(beta) ** 2 + 2.0 * np.conj(beta) * eta - 2.0 * np.abs(eta) ** 2)
     interference = 2.0 * np.real(np.exp(-1j * theta) * cross)
-    return (2.0 * norm**2 / np.pi) * (gauss0 + gauss1 + s * interference)
+    return PhaseSpaceGrid(values=(2.0 * norm**2 / np.pi) * (gauss0 + gauss1 + s * interference))
 
 
-def wigner_cat_analytic(t, sign, params, re_axis, im_axis):
-    eta = re_axis[:, None] + 1j * im_axis[None, :]
-    vals = wigner_cat_points(t, sign, params, eta)
-    return PhaseSpaceGrid(values=vals)
+def quadrature_dist_cat(t, sign, theta, params, x_axis):
+    """Distribution of the rotated quadrature X(theta) for a pure cat branch,
+    |N (psi_0(x) + s e^{i theta_c} psi_alpha(x))|^2. X(theta) sees |beta> as
+    |alpha>, alpha = beta e^{-i theta}, whose wavefunction follows from the
+    Hermite generating function,
+        psi_alpha(x) = pi^{-1/4} exp(-x^2/2 + sqrt(2) alpha x - alpha^2/2 - |alpha|^2/2),
+    with modulus a Gaussian about sqrt(2) Re alpha: no cutoff enters."""
+    s, beta, theta_c, norm = _ideal_branch(t, sign, params)
+    x = np.asarray(x_axis, dtype=float)
+
+    def psi(alpha):
+        return np.pi**-0.25 * np.exp(-0.5 * x**2 + np.sqrt(2.0) * alpha * x
+                                     - 0.5 * alpha**2 - 0.5 * abs(alpha) ** 2)
+
+    amp = psi(0.0) + s * np.exp(1j * theta_c) * psi(beta * np.exp(-1j * theta))
+    return PhaseSpaceGrid(values=np.abs(norm * amp) ** 2)
 
 
 def _check_truncation(rho_b):
@@ -116,30 +126,6 @@ def oscillator_table(x, n_levels):
                 j / (j + 1.0)
             ) * table[j - 1]
     return table
-
-
-def _coherent_levels(beta):
-    """Levels needed before the coherent coefficient drops below the term floor."""
-    n = max(int(abs(beta) ** 2), 1)
-    log_c = -0.5 * abs(beta) ** 2
-    log_b = np.log(max(abs(beta), 1e-300))
-    while True:
-        # log |c_n| = -|b|^2/2 + n log|b| - log(n!)/2
-        val = log_c + n * log_b - 0.5 * log_factorial(n)
-        if val < np.log(_TERM_FLOOR) and n > abs(beta) ** 2:
-            return n + 1
-        n += 8
-
-
-def quadrature_dist_cat(t, sign, theta, params, x_axis):
-    """Distribution of the rotated quadrature X(theta) for a pure cat branch,
-    |sum_n Phi_n e^{-i n theta} psi_n(X)|^2 with Phi = cat_state_vector(t,
-    sign, ...) on as many levels as its coherent component needs for its
-    terms to fall below 1e-14."""
-    n_levels = _coherent_levels(beta_theta(t, params)[0])
-    phi = cat_state_vector(t, sign, params, n_levels) * np.exp(-1j * theta * np.arange(n_levels))
-    vals = np.abs(phi @ oscillator_table(x_axis, n_levels)) ** 2
-    return PhaseSpaceGrid(values=vals)
 
 
 def quadrature_dist_numeric(rho_b, theta, x_axis):
