@@ -30,6 +30,7 @@ from .operators import (
 from .blockade import (
     AmplitudeTable,
     PhotonStats,
+    detuned_photon_stats,
     longtime_amplitudes,
     photon_stats_exact,
     photon_stats_lamb_dicke,
@@ -38,6 +39,7 @@ from .lindblad import (
     DensityMatrix,
     LindbladSpec,
     apply_liouvillian,
+    detuned_steady_state,
     evolve,
     make_lindblad,
     observables,

@@ -7,6 +7,7 @@ only the zeroth sideband and reduce to closed Lorentzian forms.
 
 import warnings
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -48,6 +49,52 @@ def _check_tail(weights, label):
         )
 
 
+def _sideband_overlaps(params, nm):
+    """The factors of the amplitudes that do not depend on delta_c: the
+    sector frequencies w1, w2, the shifts d1, d2, and the overlaps
+    fc10 = <n-tilde(1)|0> and fc21 = <n-tilde(2)|l-tilde(1)> from exact
+    displacement elements."""
+    w1 = effective_mech_freq(1, params)
+    w2 = effective_mech_freq(2, params)
+    d1 = delta_m(1, params)
+    d2 = delta_m(2, params)
+    fc10 = displacement_matrix(-xi_m(1, params), nm)[:, 0]
+    fc21 = displacement_matrix(xi_m(1, params) - xi_m(2, params), nm)
+    return w1, w2, d1, d2, fc10, fc21
+
+
+def _detuned_amplitudes(params, spec):
+    """``longtime_amplitudes`` of ``params`` at drive detuning delta_c, as a
+    function of delta_c. The overlaps are computed by the first call that
+    succeeds and kept, so a failing one (a singular denominator) raises at
+    every call."""
+    if params.kappa <= 0:
+        raise ValueError("long-time amplitudes need kappa > 0")
+    if abs(params.drive_amp) / params.kappa > 0.1:
+        warnings.warn(
+            "|drive_amp|/kappa > 0.1: the weak-driving expansion is unreliable",
+            stacklevel=3,
+        )
+    overlaps = cache(partial(_sideband_overlaps, params, spec.n_mech))
+    n = np.arange(spec.n_mech)
+    om = params.drive_amp
+
+    def amplitudes(dc):
+        w1, w2, d1, d2, fc10, fc21 = overlaps()
+        den1 = dc + n * w1 - d1 - 0.5j * params.kappa
+        c1 = -om * fc10 / den1
+
+        den2 = 2.0 * dc + n * w2 - d2 - 1j * params.kappa
+        c2 = np.sqrt(2.0) * om**2 * (fc21 @ (fc10 / den1)) / den2
+
+        _check_tail(np.abs(c1) ** 2, "one-photon amplitudes")
+        _check_tail(np.abs(c2) ** 2, "two-photon amplitudes")
+        _check_tail(np.abs(fc10 / den1) ** 2, "intermediate sideband sum")
+        return AmplitudeTable(c1=c1, c2=c2)
+
+    return amplitudes
+
+
 def longtime_amplitudes(params, spec):
     """Long-time perturbative amplitudes for the driven cavity, starting from
     the empty cavity with the mechanics in its ground state.
@@ -57,46 +104,28 @@ def longtime_amplitudes(params, spec):
     the vacuum amplitude stays delta_{n,0} at this order. Raises ValueError
     without cavity decay, where they have no long-time limit.
     """
-    if params.kappa <= 0:
-        raise ValueError("long-time amplitudes need kappa > 0")
-    if abs(params.drive_amp) / params.kappa > 0.1:
-        warnings.warn(
-            "|drive_amp|/kappa > 0.1: the weak-driving expansion is unreliable",
-            stacklevel=2,
-        )
-    nm = spec.n_mech
-    n = np.arange(nm)
-    om = params.drive_amp
-    dc = params.delta_c
-    w1 = effective_mech_freq(1, params)
-    w2 = effective_mech_freq(2, params)
-    d1 = delta_m(1, params)
-    d2 = delta_m(2, params)
-
-    # <n-tilde(1)|0> and <n-tilde(2)|l-tilde(1)> via exact displacement elements
-    fc10 = displacement_matrix(-xi_m(1, params), nm)[:, 0]
-    fc21 = displacement_matrix(xi_m(1, params) - xi_m(2, params), nm)
-
-    den1 = dc + n * w1 - d1 - 0.5j * params.kappa
-    c1 = -om * fc10 / den1
-
-    den2 = 2.0 * dc + n * w2 - d2 - 1j * params.kappa
-    c2 = np.sqrt(2.0) * om**2 * (fc21 @ (fc10 / den1)) / den2
-
-    _check_tail(np.abs(c1) ** 2, "one-photon amplitudes")
-    _check_tail(np.abs(c2) ** 2, "two-photon amplitudes")
-    _check_tail(np.abs(fc10 / den1) ** 2, "intermediate sideband sum")
-    return AmplitudeTable(c1=c1, c2=c2)
+    return _detuned_amplitudes(params, spec)(params.delta_c)
 
 
-def photon_stats_exact(params, spec):
-    """Exact-sideband P1, P2 and g2 from the long-time amplitudes."""
-    amps = longtime_amplitudes(params, spec)
+def _photon_stats(amps):
     p1 = float(np.sum(np.abs(amps.c1) ** 2))
     if p1 == 0.0:
         raise ZeroPhotonNumber("one-photon probability is 0; g2 undefined")
     p2 = float(np.sum(np.abs(amps.c2) ** 2))
     return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=2.0 * p2 / p1**2)
+
+
+def photon_stats_exact(params, spec):
+    """Exact-sideband P1, P2 and g2 from the long-time amplitudes."""
+    return _photon_stats(longtime_amplitudes(params, spec))
+
+
+def detuned_photon_stats(params, spec):
+    """``photon_stats_exact`` of ``params`` at drive detuning delta_c, as a
+    function of delta_c. delta_c enters only the resonance denominators, so
+    a detuning sweep computes the sideband overlaps once."""
+    amplitudes = _detuned_amplitudes(params, spec)
+    return lambda delta_c: _photon_stats(amplitudes(delta_c))
 
 
 def photon_stats_lamb_dicke(params):

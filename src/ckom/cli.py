@@ -25,7 +25,7 @@ from . import blockade, catstate, quasiprob
 from .model import SystemParams, delta_m, optimal_detuning, resonance_curve_g0
 from .operators import HilbertSpec, build_h_sectors, expm, propagator_factored, propagator_factors
 from .specfun import displacement_matrix, safe_interior_dim
-from .lindblad import make_lindblad, steady_state, evolve, observables
+from .lindblad import detuned_steady_state, evolve, make_lindblad, observables, steady_state
 from .errors import DegenerateBranch, NumericalError
 
 _NUMERICAL_ERRORS = (NumericalError, np.linalg.LinAlgError)
@@ -197,21 +197,36 @@ def _steady_g2(params, n_cav, n_mech, method):
 
 
 def _g2_numeric_task(task):
-    """(g2, error) at one detuning; task = (params, n_cav, n_mech, method)."""
+    """(g2, error) at one parameter point; task = (params, n_cav, n_mech, method)."""
     return _attempt(_steady_g2, *task)
 
 
+def _g2_detuning_task(task):
+    """(g2, error) at each detuning of one contiguous chunk of a sweep, on one
+    ladder set-up; task = (params, n_cav, n_mech, detunings)."""
+    params, n_cav, n_mech, detunings = task
+    ls = make_lindblad(params.replace(delta_c=0.0), HilbertSpec(n_cav=n_cav, n_mech=n_mech))
+    solve = detuned_steady_state(ls)
+    return [_attempt(lambda dc: observables(solve(dc))["g2"], float(dc)) for dc in detunings]
+
+
 def g2_numeric_sweep(params, n_cav, n_mech, detunings, jobs=1):
-    """Master-equation g2(delta_c) over a detuning grid (parallel over points)."""
-    tasks = [
-        (params.replace(delta_c=float(dc)), n_cav, n_mech, "ladder") for dc in detunings
-    ]
-    return _pool_map(_g2_numeric_task, tasks, jobs)
+    """Master-equation (g2, error) over a detuning grid, by the ladder.
+
+    The grid runs as one chunk, or with ``jobs`` > 1 as about four
+    contiguous chunks per worker, each on its own set-up of the ladder at
+    delta_c = 0: the values do not depend on ``jobs``."""
+    chunks = np.array_split(np.asarray(detunings, dtype=float),
+                            1 if jobs <= 1 else max(1, min(len(detunings), 4 * jobs)))
+    tasks = [(params, n_cav, n_mech, chunk) for chunk in chunks]
+    return [point for chunk in _pool_map(_g2_detuning_task, tasks, jobs) for point in chunk]
 
 
 def g2_analytic_sweep(params, spec, detunings):
-    return [_attempt(blockade.photon_stats_exact, params.replace(delta_c=float(dc)), spec,
-                     failed=None) for dc in detunings]
+    """Exact-sideband (stats, error) over a detuning grid, on one
+    computation of the sideband overlaps."""
+    stats = blockade.detuned_photon_stats(params, spec)
+    return [_attempt(stats, float(dc), failed=None) for dc in detunings]
 
 
 def local_extrema(x, y, kind):

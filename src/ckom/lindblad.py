@@ -6,15 +6,16 @@ with D[o] rho = o rho o+ - (o+o rho + rho o+o)/2. Time evolution and the
 ladder steady state use its photon-number block form (``_BlockGenerator``);
 the direct steady state builds it from the full-space operators instead.
 ``steady_state`` has one method per role: ``ladder`` for every sweep and
-``direct`` as its fallback and independent reference.
+``direct`` as its fallback and independent reference;
+``detuned_steady_state`` runs the ladder along a detuning sweep on one set-up.
 
 Everything here runs on numpy: time evolution uses ``solve_ivp``, a port of
 scipy's RK45, and only the direct steady state imports ``scipy.sparse``.
 """
 
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -440,42 +441,52 @@ def _vacuum_solver(energies, gamma_down, gamma_up):
     return solve
 
 
-def _steady_ladder(ls):
-    """Steady state solved block-by-block in the photon indices.
+def _ladder_obstacle(ls):
+    """Why the ladder does not apply to ``ls``, or None. It needs mechanical
+    damping (the vacuum-block dissipator must have a unique fixed point), a
+    diagonal H_00 and a drive weaker than the cavity linewidth (contraction
+    of the hierarchy)."""
+    if ls.gamma_down <= 0.0:
+        return "no mechanical damping"
+    if np.count_nonzero(ls.sectors[0] - np.diag(np.diagonal(ls.sectors[0]))):
+        return "photon-vacuum Hamiltonian is not diagonal"
+    nc = ls.spec.n_cav
+    if abs(ls.drive) * np.sqrt(nc - 1.0) > 0.5 * ls.kappa * nc:
+        return "drive too strong for the contraction test"
+    return None
+
+
+def _ladder_setup(ls):
+    """The ladder's set-up on ``ls``: (lam, v, v^-1) of each sector drift
+    G_m = v diag(lam) v^-1, and the photon-vacuum solver."""
+    eig = []
+    for g in _BlockGenerator(ls).drift:
+        lam, v = np.linalg.eig(g)
+        eig.append((lam, v, np.linalg.inv(v)))
+    return eig, _vacuum_solver(np.diagonal(ls.sectors[0]), ls.gamma_down, ls.gamma_up)
+
+
+def _ladder_iterate(gen, eig, solve00, shift):
+    """Steady state of the generator ``gen`` solved block-by-block in the
+    photon indices, from the set-up (``eig``, ``solve00``) of ``_ladder_setup``
+    on the sectors of ``gen`` moved by -``shift`` m.
 
     At weak drive the block magnitudes fall off as Omega^{m+m'}, so a global
     solve loses the tiny high-photon blocks to roundoff of the large ones.
     Here each block of the block form is solved at its own scale: its drift
     is inverted as a Sylvester equation in the eigenbases of the sector
     drifts, while the rest (drive couplings, photon feed-down, mechanical
-    jumps) is iterated Gauss-Seidel style to convergence. The photon-vacuum
-    block, whose drift alone is singular, is solved with its mechanical
-    jumps and a trace constraint, one diagonal offset at a time
-    (``_vacuum_solver``); both it and the sector drifts are set up per solve.
-
-    Needs mechanical damping (the vacuum-block dissipator must have a unique
-    fixed point), a diagonal H_00 and a drive weaker than the cavity
-    linewidth (contraction of the hierarchy). Returns (state, None), or
-    (None, the reason) when these fail, the Gauss-Seidel sweeps have not
-    settled within ``_MAX_SWEEPS`` or the residual |d rho/dt| exceeds 1e-9.
+    jumps) is iterated Gauss-Seidel style to convergence. A detuning moves
+    sector m by m shift times the identity, so it keeps the eigenvectors and
+    moves the eigenvalues by -i m shift. The photon-vacuum block, whose
+    drift alone is singular, is solved with its mechanical jumps and a trace
+    constraint, one diagonal offset at a time (``_vacuum_solver``); H_00
+    holds no detuning. Returns (rho, None), or (None, the reason) when the
+    sweeps have not settled within ``_MAX_SWEEPS``.
     """
-    spec = ls.spec
+    spec = gen.spec
     nc = spec.n_cav
-    if ls.gamma_down <= 0.0:
-        return None, "no mechanical damping"
-    energies = np.diagonal(ls.sectors[0])
-    if np.count_nonzero(ls.sectors[0] - np.diag(energies)):
-        return None, "photon-vacuum Hamiltonian is not diagonal"
-    if abs(ls.drive) * np.sqrt(nc - 1.0) > 0.5 * ls.kappa * nc:
-        return None, "drive too strong for the contraction test"
-    gen = _BlockGenerator(ls)
-
-    eig = []
-    for g in gen.drift:
-        lam, v = np.linalg.eig(g)
-        eig.append((lam, v, np.linalg.inv(v)))
-    solve00 = _vacuum_solver(energies, ls.gamma_down, ls.gamma_up)
-
+    lam = [e[0] - 1j * m * shift for m, e in enumerate(eig)]
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho[0, 0] = 1.0
     blocks = spec.blocks(rho)
@@ -496,10 +507,10 @@ def _steady_ladder(ls):
                 new = solve00(rhs)
             else:
                 q = -gen.rest(blocks, m, mp)
-                lam_m, v_m, vinv_m = eig[m]
-                lam_p, v_p, vinv_p = eig[mp]
+                _lam, v_m, vinv_m = eig[m]
+                _lam, v_p, vinv_p = eig[mp]
                 q_t = vinv_m @ q @ vinv_p.conj().T
-                x_t = q_t / (lam_m[:, None] + lam_p[None, :].conj())
+                x_t = q_t / (lam[m][:, None] + lam[mp][None, :].conj())
                 new = v_m @ x_t @ v_p.conj().T
             delta = max(delta, np.abs(new - prev).max())
             scale = max(scale, np.abs(new).max())
@@ -510,12 +521,54 @@ def _steady_ladder(ls):
             break
     else:
         return None, f"not settled after {_MAX_SWEEPS} sweeps"
-    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
-    del eig, solve00  # freed before the residual's tables: a lower peak memory
-    resid = np.abs(gen.liouvillian(rho)).max()
-    if not resid < 1e-9:
-        return None, f"residual {resid:.2e} above 1e-9"
-    return DensityMatrix(spec, rho), None
+    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real, None
+
+
+def _steady_ladder(ls, setup, shift):
+    """``steady_state(ls, "ladder")`` with the set-up ``setup()`` of the
+    ladder on the sectors of ``ls`` moved by -``shift`` m. The residual gate
+    runs on ``ls``'s own generator, after the set-up is released (with the
+    gate's tables it would raise the peak memory) unless ``setup`` keeps it.
+    """
+    # a and b annihilate the vacuum; only the drive, b+ and a force on the
+    # mechanics in the photon vacuum (row 0 of sector 0) lift it
+    if ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.sectors[0][0, 1:].any():
+        return vacuum_density(ls.spec)
+    reason = _ladder_obstacle(ls)
+    if reason is None:
+        gen = _BlockGenerator(ls)
+        rho, reason = _ladder_iterate(gen, *setup(), shift)
+        if rho is not None:
+            resid = np.abs(gen.liouvillian(rho)).max()
+            if resid < 1e-9:
+                return DensityMatrix(ls.spec, rho)
+            reason = f"residual {resid:.2e} above 1e-9"
+    warnings.warn(f"ladder falls back to direct: {reason}", SolverFallback, stacklevel=3)
+    return _steady_direct(ls)
+
+
+def detuned_steady_state(ls):
+    """``steady_state(ls', "ladder")`` as a function of delta_c, where ls' is
+    ``ls`` with each sector H_m moved by m delta_c: the rotating-frame
+    ``make_lindblad`` at that delta_c, for ``ls`` at delta_c = 0.
+
+    The sector eigenbases and the vacuum solver do not depend on delta_c, so
+    they are set up once, from ``ls``, by the first point the ladder
+    applies to, and kept for the rest. Each point keeps its own
+    preconditions, residual gate and fallback. It differs from a solve of
+    ls' on its own only by roundoff (below 1e-12 relative in g2).
+    """
+    if ls.kappa <= 0:
+        raise ValueError("a unique driven steady state needs kappa > 0")
+    setup = cache(partial(_ladder_setup, ls))
+    m, q = np.arange(ls.spec.n_cav)[:, None], np.arange(ls.spec.n_mech)
+
+    def solve(delta_c):
+        sectors = ls.sectors.copy()
+        sectors[:, q, q] += delta_c * m
+        return _steady_ladder(replace(ls, sectors=sectors), setup, delta_c)
+
+    return solve
 
 
 def steady_state(ls, method="ladder"):
@@ -529,6 +582,7 @@ def steady_state(ls, method="ladder"):
     settle or its residual exceeds 1e-9, it warns ``SolverFallback`` with the
     reason and falls back to ``"direct"``. Without drive and thermal phonons
     the vacuum is dark and is returned as the exact fixed point.
+    ``detuned_steady_state`` is the same solver along a detuning sweep.
 
     ``"direct"`` solves the vectorized Liouvillian null space with a trace
     constraint, refined iteratively: the general solver for any regime with
@@ -539,15 +593,7 @@ def steady_state(ls, method="ladder"):
     if method == "direct":
         return _steady_direct(ls)
     if method == "ladder":
-        # a and b annihilate the vacuum; only the drive, b+ and a force on
-        # the mechanics in the photon vacuum (row 0 of sector 0) lift it
-        if ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.sectors[0][0, 1:].any():
-            return vacuum_density(ls.spec)  # vacuum is dark: exact fixed point
-        rho, reason = _steady_ladder(ls)
-        if rho is not None:
-            return rho
-        warnings.warn(f"ladder falls back to direct: {reason}", SolverFallback, stacklevel=2)
-        return _steady_direct(ls)
+        return _steady_ladder(ls, partial(_ladder_setup, ls), 0.0)
     raise ValueError(f"unknown steady-state method {method!r}")
 
 

@@ -7,7 +7,7 @@ import pytest
 from ckom.model import SystemParams, delta_m, optimal_detuning, resonance_curve_g0
 from ckom.operators import HilbertSpec
 from ckom import blockade
-from ckom.errors import NonConvergedSum, ZeroPhotonNumber
+from ckom.errors import NonConvergedSum, SingularDenominator, ZeroPhotonNumber
 
 FIG2 = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, drive_amp=0.001)
 SPEC = HilbertSpec(4, 30)
@@ -75,6 +75,28 @@ class TestAmplitudes:
         ]
         for ref in TABLE_SINGLE:
             assert np.abs(maxima - ref).min() < 0.01
+
+
+class TestDetunedStats:
+    def test_bit_identical_to_point_by_point(self):
+        # delta_c enters only the denominators, which are computed as before
+        detunings = np.linspace(-3.7, 1.7, 37)
+        stats = blockade.detuned_photon_stats(FIG2, SPEC)
+        for dc in detunings:
+            want = blockade.photon_stats_exact(FIG2.replace(delta_c=float(dc)), SPEC)
+            assert stats(float(dc)) == want
+
+    def test_failing_overlaps_fail_every_point(self):
+        # g_ck beyond omega_m / 2: the two-photon sector is unstable; every
+        # point raises the error photon_stats_exact raises there
+        p = FIG2.replace(g_ck=0.6)
+        stats = blockade.detuned_photon_stats(p, SPEC)
+        for dc in (0.0, 0.05):
+            with pytest.raises(SingularDenominator) as got:
+                stats(dc)
+            with pytest.raises(SingularDenominator) as want:
+                blockade.photon_stats_exact(p.replace(delta_c=dc), SPEC)
+            assert str(got.value) == str(want.value)
 
 
 class TestExactStats:

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from ckom import cli
+from ckom import HilbertSpec, SystemParams, blockade, cli
 from ckom.cli import COMMANDS, _build_parser, local_extrema, main
+from ckom.errors import NonConvergedSum
 
 
 def read_csv(path):
@@ -191,6 +192,59 @@ class TestBlockadeSweep:
         assert np.all(np.isnan(g2))
         errors = column(header, rows, "error", as_float=False)
         assert all("SingularDenominator" in e for e in errors)
+
+
+class TestDetuningSweeps:
+    """The sweep drivers against their per-point forms."""
+
+    PARAMS = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, drive_amp=0.001)
+
+    def test_numeric_sweep_does_not_depend_on_jobs(self):
+        # every chunk sets its ladder up at delta_c = 0, so the split is invisible
+        detunings = np.linspace(-1.5, 0.7, 9)
+        serial = cli.g2_numeric_sweep(self.PARAMS, 3, 12, detunings, jobs=1)
+        pooled = cli.g2_numeric_sweep(self.PARAMS, 3, 12, detunings, jobs=2)
+        assert serial == pooled
+        assert all(err == "" for _g2, err in serial)
+
+    def test_failed_point_leaves_its_neighbours(self):
+        # at drive 1e-7 the cavity far off resonance holds under 1e-14 photons
+        params = self.PARAMS.replace(drive_amp=1e-7)
+        rows = cli.g2_numeric_sweep(params, 3, 12, [0.594, -3.0, 0.6])
+        assert np.isnan(rows[1][0])
+        assert rows[1][1].startswith("ZeroPhotonNumber: ")
+        assert [rows[0], rows[2]] == cli.g2_numeric_sweep(params, 3, 12, [0.594, 0.6])
+
+    def test_numeric_sweep_matches_its_point_task(self):
+        # the probe's one-point task and the sweep agree to roundoff
+        detunings = [-1.2, 0.1, 0.594]
+        rows = cli.g2_numeric_sweep(self.PARAMS, 3, 12, detunings)
+        for dc, (g2, err) in zip(detunings, rows):
+            point, point_err = cli._g2_numeric_task(
+                (self.PARAMS.replace(delta_c=dc), 3, 12, "ladder"))
+            assert err == point_err == ""
+            assert abs(g2 / point - 1.0) < 1e-10
+
+    def test_analytic_sweep_matches_point_by_point(self):
+        # 20 phonons hold the two-photon sidebands at 32 of these 51
+        # detunings (12, as in the benchmark probe's case, at none): the
+        # sweep must fail on exactly the points photon_stats_exact raises on
+        spec = HilbertSpec(3, 20)
+        detunings = np.linspace(-3.5, 1.5, 51)
+        rows = cli.g2_analytic_sweep(self.PARAMS, spec, detunings)
+        failed = 0
+        for dc, (stats, err) in zip(detunings, rows):
+            try:
+                want = blockade.photon_stats_exact(self.PARAMS.replace(delta_c=float(dc)), spec)
+            except NonConvergedSum as exc:
+                assert stats is None and err == f"NonConvergedSum: {exc}"
+                failed += 1
+                continue
+            assert err == ""
+            for field in ("p1", "p2", "g2"):
+                got, ref = getattr(stats, field), getattr(want, field)
+                assert abs(got - ref) <= 1e-14 * abs(ref)
+        assert 0 < failed < detunings.size
 
 
 class TestBlockadeMap:
