@@ -166,9 +166,8 @@ def _pool_map(worker, tasks, jobs):
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
-    chunk = max(1, len(tasks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
+        return list(pool.map(worker, tasks))
 
 
 def _failure(exc):
@@ -190,36 +189,39 @@ def _require_decay(params):
         _usage_error(f"kappa = {params.kappa:g}: the driven steady state needs kappa > 0")
 
 
-def _steady_g2(params, n_cav, n_mech, method):
-    """g2 of the driven steady state at one parameter point."""
-    ls = make_lindblad(params, HilbertSpec(n_cav=n_cav, n_mech=n_mech), frame="rotating")
-    return observables(steady_state(ls, method=method))["g2"]
-
-
 def _g2_numeric_task(task):
-    """(g2, error) at one parameter point; task = (params, n_cav, n_mech, method)."""
-    return _attempt(_steady_g2, *task)
+    """(g2, error) of the driven steady state at one parameter point;
+    task = (params, n_cav, n_mech, method)."""
+    params, n_cav, n_mech, method = task
+    ls = make_lindblad(params, HilbertSpec(n_cav=n_cav, n_mech=n_mech))
+    return _attempt(lambda: observables(steady_state(ls, method=method))["g2"])
 
 
-def _g2_detuning_task(task):
-    """(g2, error) at each detuning of one contiguous chunk of a sweep, on one
-    ladder set-up; task = (params, n_cav, n_mech, detunings)."""
-    params, n_cav, n_mech, detunings = task
-    ls = make_lindblad(params.replace(delta_c=0.0), HilbertSpec(n_cav=n_cav, n_mech=n_mech))
-    solve = detuned_steady_state(ls)
-    return [_attempt(lambda dc: observables(solve(dc))["g2"], float(dc)) for dc in detunings]
+def _map_task(task):
+    """(value, error) at each point of one contiguous chunk of a parameter
+    grid; task = (points, spec, numeric). The value is the master-equation g2
+    when numeric, else the exact-sideband PhotonStats (None where it failed).
+    Each run of consecutive points that differ only in delta_c shares one
+    set-up at delta_c = 0, of the ladder or of the sideband overlaps."""
+    points, spec, numeric = task
+    out = []
+    for base, run in itertools.groupby(points, lambda p: p.replace(delta_c=0.0)):
+        if numeric:
+            solve = detuned_steady_state(make_lindblad(base, spec))
+            out += [_attempt(lambda dc: observables(solve(dc))["g2"], p.delta_c) for p in run]
+        else:
+            stats = blockade.detuned_photon_stats(base, spec)
+            out += [_attempt(stats, p.delta_c, failed=None) for p in run]
+    return out
 
 
-def g2_numeric_sweep(params, n_cav, n_mech, detunings, jobs=1):
-    """Master-equation (g2, error) over a detuning grid, by the ladder.
-
-    The grid runs as one chunk, or with ``jobs`` > 1 as about four
-    contiguous chunks per worker, each on its own set-up of the ladder at
-    delta_c = 0: the values do not depend on ``jobs``."""
-    chunks = np.array_split(np.asarray(detunings, dtype=float),
-                            1 if jobs <= 1 else max(1, min(len(detunings), 4 * jobs)))
-    tasks = [(params, n_cav, n_mech, chunk) for chunk in chunks]
-    return [point for chunk in _pool_map(_g2_detuning_task, tasks, jobs) for point in chunk]
+def g2_grid(points, spec, numeric, jobs):
+    """``_map_task`` over a list of parameter points: one chunk, or with
+    ``jobs`` > 1, 8 * jobs contiguous chunks on a process pool. Every set-up
+    is at delta_c = 0, so the values do not depend on ``jobs``."""
+    chunks = np.array_split(np.arange(len(points)), 1 if jobs <= 1 else 8 * jobs)
+    tasks = [([points[i] for i in chunk], spec, numeric) for chunk in chunks if chunk.size]
+    return [point for chunk in _pool_map(_map_task, tasks, jobs) for point in chunk]
 
 
 def g2_analytic_sweep(params, spec, detunings):
@@ -267,9 +269,8 @@ def _detuning_sweep(args, config, params, spec, numeric):
     analytic = g2_analytic_sweep(params, spec, detunings)
     if not numeric:
         return detunings, analytic, None
-    return detunings, analytic, g2_numeric_sweep(
-        params, spec.n_cav, spec.n_mech, detunings, jobs=args.jobs
-    )
+    points = [params.replace(delta_c=float(dc)) for dc in detunings]
+    return detunings, analytic, g2_grid(points, spec, True, args.jobs)
 
 
 def cmd_table1(args, config, params, spec):
@@ -321,33 +322,22 @@ def cmd_blockade_sweep(args, config, params, spec):
     return 0
 
 
-def _map_task(task):
-    """(g2, error) at the single-photon resonance of one (g0, g_ck) point;
-    task = (params, n_cav, n_mech, numeric)."""
-    params, n_cav, n_mech, numeric = task
-
-    def g2():
-        point = params.replace(delta_c=delta_m(1, params))
-        if numeric:
-            return _steady_g2(point, n_cav, n_mech, "ladder")
-        return blockade.photon_stats_exact(point, HilbertSpec(n_cav=n_cav, n_mech=n_mech)).g2
-
-    return _attempt(g2)
-
-
 def cmd_blockade_map(args, config, params, spec):
     _require_decay(params)
+    numeric = config["numeric"] = bool(args.numeric)
     gck_axis = _axis(config, "gck", "gck_steps")
-    points = [(g0, gck) for g0 in _axis(config, "g0", "g0_steps") for gck in gck_axis]
-    tasks = [
-        (params.replace(g0=float(g0), g_ck=float(gck)), spec.n_cav, spec.n_mech,
-         bool(args.numeric))
-        for g0, gck in points
-    ]
-    results = _pool_map(_map_task, tasks, args.jobs)
-    config["numeric"] = bool(args.numeric)
+    grid = [params.replace(g0=float(g0), g_ck=float(gck))
+            for g0 in _axis(config, "g0", "g0_steps") for gck in gck_axis]
+    # each point sits at its single-photon resonance delta_1; a point
+    # without one (g_ck >= omega_m) keeps that error as its row
+    resonance = [_attempt(delta_m, 1, point) for point in grid]
+    results = iter(g2_grid([point.replace(delta_c=dc) for point, (dc, err)
+                            in zip(grid, resonance) if not err], spec, numeric, args.jobs))
+    if not numeric:
+        results = ((np.nan if stats is None else stats.g2, err) for stats, err in results)
     write_csv(args.out, config, ["g0", "g_ck", "g2", "error"],
-              [[*point, *result] for point, result in zip(points, results)])
+              [[point.g0, point.g_ck, *((np.nan, err) if err else next(results))]
+               for point, (_dc, err) in zip(grid, resonance)])
 
     locus_rows = []
     for n in range(1, config["locus_n_max"] + 1):

@@ -6,8 +6,9 @@ with D[o] rho = o rho o+ - (o+o rho + rho o+o)/2. Time evolution and the
 ladder steady state use its photon-number block form (``_BlockGenerator``);
 the direct steady state builds it from the full-space operators instead.
 ``steady_state`` has one method per role: ``ladder`` for every sweep and
-``direct`` as its fallback and independent reference;
-``detuned_steady_state`` runs the ladder along a detuning sweep on one set-up.
+``direct`` as its fallback and independent reference. The ladder has one
+entry point, ``detuned_steady_state``, which solves a detuning sweep on one
+set-up; ``steady_state`` runs it at delta_c = 0.
 
 Everything here runs on numpy: time evolution uses ``solve_ivp``, a port of
 scipy's RK45, and only the direct steady state imports ``scipy.sparse``.
@@ -524,29 +525,6 @@ def _ladder_iterate(gen, eig, solve00, shift):
     return 0.5 * (rho + rho.conj().T) / np.trace(rho).real, None
 
 
-def _steady_ladder(ls, setup, shift):
-    """``steady_state(ls, "ladder")`` with the set-up ``setup()`` of the
-    ladder on the sectors of ``ls`` moved by -``shift`` m. The residual gate
-    runs on ``ls``'s own generator, after the set-up is released (with the
-    gate's tables it would raise the peak memory) unless ``setup`` keeps it.
-    """
-    # a and b annihilate the vacuum; only the drive, b+ and a force on the
-    # mechanics in the photon vacuum (row 0 of sector 0) lift it
-    if ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.sectors[0][0, 1:].any():
-        return vacuum_density(ls.spec)
-    reason = _ladder_obstacle(ls)
-    if reason is None:
-        gen = _BlockGenerator(ls)
-        rho, reason = _ladder_iterate(gen, *setup(), shift)
-        if rho is not None:
-            resid = np.abs(gen.liouvillian(rho)).max()
-            if resid < 1e-9:
-                return DensityMatrix(ls.spec, rho)
-            reason = f"residual {resid:.2e} above 1e-9"
-    warnings.warn(f"ladder falls back to direct: {reason}", SolverFallback, stacklevel=3)
-    return _steady_direct(ls)
-
-
 def detuned_steady_state(ls):
     """``steady_state(ls', "ladder")`` as a function of delta_c, where ls' is
     ``ls`` with each sector H_m moved by m delta_c: the rotating-frame
@@ -554,9 +532,10 @@ def detuned_steady_state(ls):
 
     The sector eigenbases and the vacuum solver do not depend on delta_c, so
     they are set up once, from ``ls``, by the first point the ladder
-    applies to, and kept for the rest. Each point keeps its own
-    preconditions, residual gate and fallback. It differs from a solve of
-    ls' on its own only by roundoff (below 1e-12 relative in g2).
+    applies to, and kept for the rest, residual gates included. Each point
+    keeps its own preconditions, residual gate and fallback. It differs
+    from a solve of ls' on its own only by roundoff (below 1e-12 relative
+    in g2).
     """
     if ls.kappa <= 0:
         raise ValueError("a unique driven steady state needs kappa > 0")
@@ -566,7 +545,22 @@ def detuned_steady_state(ls):
     def solve(delta_c):
         sectors = ls.sectors.copy()
         sectors[:, q, q] += delta_c * m
-        return _steady_ladder(replace(ls, sectors=sectors), setup, delta_c)
+        point = replace(ls, sectors=sectors)
+        # a and b annihilate the vacuum; only the drive, b+ and a force on the
+        # mechanics in the photon vacuum (row 0 of sector 0) lift it
+        if ls.drive == 0.0 and ls.gamma_up == 0.0 and not sectors[0][0, 1:].any():
+            return vacuum_density(ls.spec)
+        reason = _ladder_obstacle(point)
+        if reason is None:
+            gen = _BlockGenerator(point)
+            rho, reason = _ladder_iterate(gen, *setup(), delta_c)
+            if rho is not None:
+                resid = np.abs(gen.liouvillian(rho)).max()
+                if resid < 1e-9:
+                    return DensityMatrix(ls.spec, rho)
+                reason = f"residual {resid:.2e} above 1e-9"
+        warnings.warn(f"ladder falls back to direct: {reason}", SolverFallback, stacklevel=2)
+        return _steady_direct(point)
 
     return solve
 
@@ -581,20 +575,20 @@ def steady_state(ls, method="ladder"):
     drive too strong for the hierarchy to contract), its iteration does not
     settle or its residual exceeds 1e-9, it warns ``SolverFallback`` with the
     reason and falls back to ``"direct"``. Without drive and thermal phonons
-    the vacuum is dark and is returned as the exact fixed point.
-    ``detuned_steady_state`` is the same solver along a detuning sweep.
+    the vacuum is dark and is returned as the exact fixed point. It is
+    ``detuned_steady_state(ls)`` at delta_c = 0.
 
     ``"direct"`` solves the vectorized Liouvillian null space with a trace
     constraint, refined iteratively: the general solver for any regime with
     a unique steady state, and the independent reference for the ladder.
     """
+    if method == "ladder":
+        return detuned_steady_state(ls)(0.0)
+    if method != "direct":
+        raise ValueError(f"unknown steady-state method {method!r}")
     if ls.kappa <= 0:
         raise ValueError("a unique driven steady state needs kappa > 0")
-    if method == "direct":
-        return _steady_direct(ls)
-    if method == "ladder":
-        return _steady_ladder(ls, partial(_ladder_setup, ls), 0.0)
-    raise ValueError(f"unknown steady-state method {method!r}")
+    return _steady_direct(ls)
 
 
 def observables(dm):

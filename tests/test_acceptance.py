@@ -15,7 +15,7 @@ from ckom.model import SystemParams, optimal_detuning, resonance_curve_g0, delta
 from ckom.operators import HilbertSpec, build_h_sectors, propagator_factored
 from ckom import blockade, catstate, quasiprob
 from ckom.lindblad import evolve, make_lindblad, observables, steady_state
-from ckom.cli import g2_numeric_sweep, local_extrema, _nearest
+from ckom.cli import g2_grid, local_extrema, _nearest
 
 BLOCKADE = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, drive_amp=0.001)
 BLOCKADE_SPEC = HilbertSpec(4, 30)
@@ -37,9 +37,8 @@ def report(criterion, ok, detail):
 def numeric_sweep():
     detunings = np.round(np.arange(-3.7, 1.7 + 1e-9, 0.005), 10)
     t0 = time.time()
-    results = g2_numeric_sweep(
-        BLOCKADE, BLOCKADE_SPEC.n_cav, BLOCKADE_SPEC.n_mech, detunings, jobs=2,
-    )
+    points = [BLOCKADE.replace(delta_c=float(dc)) for dc in detunings]
+    results = g2_grid(points, BLOCKADE_SPEC, True, jobs=2)
     elapsed = time.time() - t0
     g2 = np.array([val for val, _err in results])
     errors = [err for _val, err in results if err]

@@ -45,6 +45,29 @@ def test_pool_tasks_exist(traced):
         assert callable(getattr(cli, attr, None)), f"ckom.cli.{attr}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--detuning-min", "-0.5", "--detuning-max", "0.5", "--detuning-step", "0.25"],
+    ["blockade-sweep", "--numeric", "--detuning-min", "-0.5", "--detuning-max", "0.5",
+     "--detuning-step", "0.25"],
+    ["blockade-map", "--numeric", "--g0-steps", "2", "--gck-steps", "2"]])
+def test_pool_workers_are_traced(traced, argv, monkeypatch, tmp_path):
+    # the tracer counts pool busy time only in the tasks it wraps by name:
+    # every worker a blockade command hands to the pool must be one of them
+    workers = []
+
+    def pool_map(worker, tasks, jobs):
+        workers.append(worker)
+        return [worker(task) for task in tasks]
+
+    monkeypatch.setattr(cli, "_pool_map", pool_map)
+    assert cli.main([*argv, "--n-cav", "3", "--n-mech", "12",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert workers
+    for worker in workers:
+        assert worker.__name__ in traced.POOL_TASKS
+        assert getattr(cli, worker.__name__) is worker
+
+
 def test_probe_cli_calls():
     # the probe's calls, in its call forms, on a 3 x 12 space
     params = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, drive_amp=0.001,

@@ -195,35 +195,58 @@ class TestBlockadeSweep:
 
 
 class TestDetuningSweeps:
-    """The sweep drivers against their per-point forms."""
+    """The grid driver against its per-point forms."""
 
     PARAMS = SystemParams(g0=0.7, g_ck=0.175, kappa=0.1, gamma_m=0.001, drive_amp=0.001)
+    SPEC = HilbertSpec(3, 12)
+
+    def sweep(self, detunings, params=PARAMS, jobs=1):
+        points = [params.replace(delta_c=float(dc)) for dc in detunings]
+        return cli.g2_grid(points, self.SPEC, True, jobs)
 
     def test_numeric_sweep_does_not_depend_on_jobs(self):
         # every chunk sets its ladder up at delta_c = 0, so the split is invisible
         detunings = np.linspace(-1.5, 0.7, 9)
-        serial = cli.g2_numeric_sweep(self.PARAMS, 3, 12, detunings, jobs=1)
-        pooled = cli.g2_numeric_sweep(self.PARAMS, 3, 12, detunings, jobs=2)
+        serial = self.sweep(detunings, jobs=1)
+        pooled = self.sweep(detunings, jobs=2)
         assert serial == pooled
         assert all(err == "" for _g2, err in serial)
 
     def test_failed_point_leaves_its_neighbours(self):
         # at drive 1e-7 the cavity far off resonance holds under 1e-14 photons
         params = self.PARAMS.replace(drive_amp=1e-7)
-        rows = cli.g2_numeric_sweep(params, 3, 12, [0.594, -3.0, 0.6])
+        rows = self.sweep([0.594, -3.0, 0.6], params)
         assert np.isnan(rows[1][0])
         assert rows[1][1].startswith("ZeroPhotonNumber: ")
-        assert [rows[0], rows[2]] == cli.g2_numeric_sweep(params, 3, 12, [0.594, 0.6])
+        assert [rows[0], rows[2]] == self.sweep([0.594, 0.6], params)
 
     def test_numeric_sweep_matches_its_point_task(self):
         # the probe's one-point task and the sweep agree to roundoff
         detunings = [-1.2, 0.1, 0.594]
-        rows = cli.g2_numeric_sweep(self.PARAMS, 3, 12, detunings)
+        rows = self.sweep(detunings)
         for dc, (g2, err) in zip(detunings, rows):
             point, point_err = cli._g2_numeric_task(
                 (self.PARAMS.replace(delta_c=dc), 3, 12, "ladder"))
             assert err == point_err == ""
             assert abs(g2 / point - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("route", [[], ["--numeric"]])
+    def test_map_rows_do_not_depend_on_jobs(self, route, tmp_path):
+        # one set-up per point, and the rows without delta_1 (g_ck = 1) kept
+        # in place between the chunks of the pool
+        rows = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"map{jobs}.csv"
+            assert main(["blockade-map", *route, "--jobs", jobs, "--n-cav", "3",
+                         "--n-mech", "12", "--g0-min", "0.3", "--g0-max", "0.7",
+                         "--g0-steps", "3", "--gck-min", "0.0", "--gck-max", "1.0",
+                         "--gck-steps", "5", "--out", str(out)]) == 0
+            _c, header, rows[jobs] = read_csv(out)
+        assert rows["1"] == rows["2"]
+        g_ck, g2 = column(header, rows["1"], "g_ck"), column(header, rows["1"], "g2")
+        errors = column(header, rows["1"], "error", as_float=False)
+        assert all(("for m = 1;" in err) == (gck == 1.0) for gck, err in zip(g_ck, errors))
+        assert np.isfinite(g2).sum() >= 3
 
     def test_analytic_sweep_matches_point_by_point(self):
         # 20 phonons hold the two-photon sidebands at 32 of these 51
@@ -263,6 +286,26 @@ class TestBlockadeMap:
         g_ck = column(header2, rows2, "g_ck")
         ref = locus[(n_col == 2) & (g_ck == 0.0)]
         assert np.isclose(ref[0], 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("route", [[], ["--numeric"]])
+    def test_points_without_single_photon_resonance_keep_their_error(self, route, tmp_path):
+        # g_ck >= omega_m leaves the one-photon sector without delta_1: those
+        # rows name it on both routes instead of solving at another detuning
+        out = tmp_path / "map.csv"
+        assert main(["blockade-map", *route, "--n-cav", "3", "--n-mech", "12",
+                     "--g0-min", "0.3", "--g0-max", "0.4", "--g0-steps", "2",
+                     "--gck-min", "0.9", "--gck-max", "1.1", "--gck-steps", "3",
+                     "--out", str(out)]) == 0
+        _c, header, rows = read_csv(out)
+        g_ck, g2 = column(header, rows, "g_ck"), column(header, rows, "g2")
+        errors = column(header, rows, "error", as_float=False)
+        assert sorted(set(g_ck)) == [0.9, 1.0, 1.1]
+        want = {1.0: "0.0", 1.1: "-0.10000000000000009"}
+        for gck, value, err in zip(g_ck, g2, errors):
+            if gck in want:
+                assert np.isnan(value)
+                assert err == (f"SingularDenominator: omega_m - m*g_ck = {want[gck]} "
+                               "for m = 1; the m-photon sector is unstable")
 
 
 class TestJobs:
