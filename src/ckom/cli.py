@@ -307,14 +307,14 @@ def cmd_blockade_sweep(args, config, params, spec):
         stats, err = analytic[i]
         point = params.replace(delta_c=float(dc))
         g2_ld, err_ld = _attempt(lambda: blockade.photon_stats_lamb_dicke(point).g2)
-        err = err or err_ld
         probs = [np.nan] * 4 if stats is None else [stats.p0, stats.p1, stats.p2, stats.g2]
-        row = [dc, *probs, g2_ld]
+        row, errors = [dc, *probs, g2_ld], [err, err_ld]
         if numeric is not None:
             g2_n, err_n = numeric[i]
             row.append(g2_n)
-            err = err or err_n
-        rows.append(row + [err])
+            errors.append(err_n)
+        # each distinct message once, in column order; messages contain "; "
+        rows.append(row + [" | ".join(dict.fromkeys(e for e in errors if e))])
 
     header = ["delta_c", "p0", "p1", "p2", "g2_analytic", "g2_lamb_dicke"]
     header += ["error"] if numeric is None else ["g2_numeric", "error"]

@@ -15,9 +15,11 @@ class NonConvergedSum(NumericalError, RuntimeError):
 
 
 class NonConvergence(NumericalError, RuntimeError):
-    """The direct steady-state solve failed: the vectorized Liouvillian is
-    singular (the steady state is not unique), or the solution's residual
-    exceeds its 1e-9 gate."""
+    """A steady-state solve failed. The ladder does not apply (no mechanical
+    damping, a non-diagonal H_00, a drive too strong for its hierarchy to
+    contract), its sweeps do not settle or its residual is not below 1e-9;
+    or the direct solve's vectorized Liouvillian is singular (the steady
+    state is not unique) or its residual exceeds 1e-9."""
 
 
 class StepSizeUnderflow(NumericalError, RuntimeError):
@@ -37,7 +39,3 @@ class DegenerateBranch(NumericalError, ArithmeticError):
 
 class TruncationLoss(NumericalError, RuntimeError):
     """The mechanical cutoff is too small to hold the requested state."""
-
-
-class SolverFallback(NumericalError, RuntimeWarning):
-    """Warning: a steady-state solver did not apply or converge and another ran instead."""

@@ -6,23 +6,23 @@ with D[o] rho = o rho o+ - (o+o rho + rho o+o)/2. Time evolution and the
 ladder steady state use its photon-number block form (``_BlockGenerator``);
 the direct steady state builds it from the full-space operators instead.
 ``steady_state`` has one method per role: ``ladder`` for every sweep and
-``direct`` as its fallback and independent reference. The ladder has one
-entry point, ``detuned_steady_state``, which solves a detuning sweep on one
-set-up; ``steady_state`` runs it at delta_c = 0.
+``direct`` as its independent reference. The ladder has one entry point,
+``detuned_steady_state``, which solves a detuning sweep on one set-up;
+``steady_state`` runs it at delta_c = 0. Where the ladder does not apply or
+does not converge it raises ``NonConvergence``; it never runs ``direct``.
 
 Everything here runs on numpy: time evolution uses ``solve_ivp``, a port of
 scipy's RK45, and only the direct steady state imports ``scipy.sparse``.
 """
 
-import warnings
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .operators import HilbertSpec, build_h_sectors, build_mode_operators, destroy
-from .errors import NonConvergence, SolverFallback, StepSizeUnderflow, ZeroPhotonNumber
+from .errors import NonConvergence, StepSizeUnderflow, ZeroPhotonNumber
 
 _MAX_SWEEPS = 200  # Gauss-Seidel sweeps of the ladder before it gives up
 
@@ -482,8 +482,8 @@ def _ladder_iterate(gen, eig, solve00, shift):
     moves the eigenvalues by -i m shift. The photon-vacuum block, whose
     drift alone is singular, is solved with its mechanical jumps and a trace
     constraint, one diagonal offset at a time (``_vacuum_solver``); H_00
-    holds no detuning. Returns (rho, None), or (None, the reason) when the
-    sweeps have not settled within ``_MAX_SWEEPS``.
+    holds no detuning. Raises NonConvergence when the sweeps have not settled
+    within ``_MAX_SWEEPS``.
     """
     spec = gen.spec
     nc = spec.n_cav
@@ -521,8 +521,8 @@ def _ladder_iterate(gen, eig, solve00, shift):
         if delta <= 1e-15 * max(scale, 1.0):
             break
     else:
-        return None, f"not settled after {_MAX_SWEEPS} sweeps"
-    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real, None
+        raise NonConvergence(f"ladder: not settled after {_MAX_SWEEPS} sweeps")
+    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real
 
 
 def detuned_steady_state(ls):
@@ -530,37 +530,37 @@ def detuned_steady_state(ls):
     ``ls`` with each sector H_m moved by m delta_c: the rotating-frame
     ``make_lindblad`` at that delta_c, for ``ls`` at delta_c = 0.
 
-    The sector eigenbases and the vacuum solver do not depend on delta_c, so
-    they are set up once, from ``ls``, by the first point the ladder
-    applies to, and kept for the rest, residual gates included. Each point
-    keeps its own preconditions, residual gate and fallback. It differs
-    from a solve of ls' on its own only by roundoff (below 1e-12 relative
-    in g2).
+    delta_c moves only the sectors m >= 1, which neither the dark-vacuum test
+    nor the ladder's preconditions read, and keeps the sector eigenbases and
+    the vacuum solver: all are set up once, from ``ls``. Each point raises
+    its own NonConvergence: the ladder does not apply, its sweeps do not
+    settle, or its residual on the point's generator is not below 1e-9. It
+    differs from a solve of ls' on its own only by roundoff (below 1e-12
+    relative in g2).
     """
     if ls.kappa <= 0:
         raise ValueError("a unique driven steady state needs kappa > 0")
-    setup = cache(partial(_ladder_setup, ls))
+    # a and b annihilate the vacuum; only the drive, b+ and a force on the
+    # mechanics in the photon vacuum (row 0 of sector 0) lift it
+    dark = ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.sectors[0][0, 1:].any()
+    obstacle = None if dark else _ladder_obstacle(ls)
+    if not dark and obstacle is None:
+        eig, solve00 = _ladder_setup(ls)
     m, q = np.arange(ls.spec.n_cav)[:, None], np.arange(ls.spec.n_mech)
 
     def solve(delta_c):
+        if dark:
+            return vacuum_density(ls.spec)
+        if obstacle is not None:
+            raise NonConvergence(f"ladder: {obstacle}")
         sectors = ls.sectors.copy()
         sectors[:, q, q] += delta_c * m
-        point = replace(ls, sectors=sectors)
-        # a and b annihilate the vacuum; only the drive, b+ and a force on the
-        # mechanics in the photon vacuum (row 0 of sector 0) lift it
-        if ls.drive == 0.0 and ls.gamma_up == 0.0 and not sectors[0][0, 1:].any():
-            return vacuum_density(ls.spec)
-        reason = _ladder_obstacle(point)
-        if reason is None:
-            gen = _BlockGenerator(point)
-            rho, reason = _ladder_iterate(gen, *setup(), delta_c)
-            if rho is not None:
-                resid = np.abs(gen.liouvillian(rho)).max()
-                if resid < 1e-9:
-                    return DensityMatrix(ls.spec, rho)
-                reason = f"residual {resid:.2e} above 1e-9"
-        warnings.warn(f"ladder falls back to direct: {reason}", SolverFallback, stacklevel=2)
-        return _steady_direct(point)
+        gen = _BlockGenerator(replace(ls, sectors=sectors))
+        rho = _ladder_iterate(gen, eig, solve00, delta_c)
+        resid = np.abs(gen.liouvillian(rho)).max()
+        if not resid < 1e-9:
+            raise NonConvergence(f"ladder: residual {resid:.2e} above 1e-9")
+        return DensityMatrix(ls.spec, rho)
 
     return solve
 
@@ -573,14 +573,15 @@ def steady_state(ls, method="ladder"):
     populations sit far below the roundoff floor of any global solve. When
     its preconditions fail (no mechanical damping, a non-diagonal H_00, a
     drive too strong for the hierarchy to contract), its iteration does not
-    settle or its residual exceeds 1e-9, it warns ``SolverFallback`` with the
-    reason and falls back to ``"direct"``. Without drive and thermal phonons
-    the vacuum is dark and is returned as the exact fixed point. It is
+    settle or its residual is not below 1e-9, it raises ``NonConvergence``
+    with the reason. Without drive and thermal phonons the vacuum is dark
+    and is returned as the exact fixed point. It is
     ``detuned_steady_state(ls)`` at delta_c = 0.
 
     ``"direct"`` solves the vectorized Liouvillian null space with a trace
-    constraint, refined iteratively: the general solver for any regime with
-    a unique steady state, and the independent reference for the ladder.
+    constraint, refined iteratively: the independent reference for the
+    ladder, for any regime with a unique steady state, those the ladder
+    refuses included. No command runs it.
     """
     if method == "ladder":
         return detuned_steady_state(ls)(0.0)

@@ -193,6 +193,22 @@ class TestBlockadeSweep:
         errors = column(header, rows, "error", as_float=False)
         assert all("SingularDenominator" in e for e in errors)
 
+    def test_every_failed_route_is_named(self, tmp_path):
+        # a drive too strong for both the sideband sums and the ladder: the
+        # error column names each route's failure once, in column order
+        out = tmp_path / "sweep.csv"
+        with pytest.warns(UserWarning, match="weak-driving"):
+            rc = main(["blockade-sweep", "--numeric", "--drive-amp", "0.2", "--n-cav", "3",
+                       "--n-mech", "12", "--detuning-min", "-1", "--detuning-max", "1",
+                       "--detuning-step", "1", "--out", str(out)])
+        assert rc == 0
+        _c, header, rows = read_csv(out)
+        assert np.all(np.isnan(column(header, rows, "g2_numeric")))
+        for err in column(header, rows, "error", as_float=False):
+            analytic, numeric = err.split(" | ")
+            assert analytic.startswith("NonConvergedSum: ")
+            assert numeric == "NonConvergence: ladder: drive too strong for the contraction test"
+
 
 class TestDetuningSweeps:
     """The grid driver against its per-point forms."""
@@ -306,6 +322,20 @@ class TestBlockadeMap:
                 assert np.isnan(value)
                 assert err == (f"SingularDenominator: omega_m - m*g_ck = {want[gck]} "
                                "for m = 1; the m-photon sector is unstable")
+
+
+    def test_undamped_mechanics_are_error_rows(self, tmp_path):
+        # the ladder needs mechanical damping; without it each point is an
+        # error row and the map completes
+        out = tmp_path / "map.csv"
+        assert main(["blockade-map", "--numeric", "--gamma-m", "0", "--n-cav", "3",
+                     "--n-mech", "12", "--g0-steps", "2", "--gck-steps", "2",
+                     "--out", str(out)]) == 0
+        _c, header, rows = read_csv(out)
+        assert len(rows) == 4
+        assert np.all(np.isnan(column(header, rows, "g2")))
+        for err in column(header, rows, "error", as_float=False):
+            assert err.startswith("NonConvergence:") and "no mechanical damping" in err
 
 
 class TestJobs:

@@ -12,7 +12,6 @@ BUILTIN_BASE = {
     "ZeroPhotonNumber": ArithmeticError,
     "DegenerateBranch": ArithmeticError,
     "TruncationLoss": RuntimeError,
-    "SolverFallback": RuntimeWarning,
 }
 
 
