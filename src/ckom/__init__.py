@@ -28,10 +28,8 @@ from .operators import (
     propagator_factors,
 )
 from .blockade import (
-    AmplitudeTable,
     PhotonStats,
     detuned_photon_stats,
-    longtime_amplitudes,
     photon_stats_exact,
     photon_stats_lamb_dicke,
 )

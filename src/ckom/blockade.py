@@ -1,8 +1,9 @@
 """Weak-driving perturbative photon statistics.
 
-The long-time amplitudes keep every phonon sideband up to the mechanical
-cutoff (valid at arbitrarily strong coupling); the Lamb-Dicke variants keep
-only the zeroth sideband and reduce to closed Lorentzian forms.
+The exact-sideband statistics keep every phonon sideband of the long-time
+amplitudes up to the mechanical cutoff (valid at arbitrarily strong
+coupling); the Lamb-Dicke variant keeps only the zeroth sideband and reduces
+to closed Lorentzian forms.
 """
 
 import warnings
@@ -24,16 +25,6 @@ class PhotonStats:
     p1: float
     p2: float
     g2: float
-
-
-@dataclass(frozen=True)
-class AmplitudeTable:
-    """Long-time one- and two-photon amplitudes over the phonon sideband
-    index, global phases dropped (only the moduli enter the photon
-    statistics)."""
-
-    c1: np.ndarray
-    c2: np.ndarray
 
 
 def _check_tail(weights, label):
@@ -63,23 +54,29 @@ def _sideband_overlaps(params, nm):
     return w1, w2, d1, d2, fc10, fc21
 
 
-def _detuned_amplitudes(params, spec):
-    """``longtime_amplitudes`` of ``params`` at drive detuning delta_c, as a
-    function of delta_c. The overlaps are computed by the first call that
-    succeeds and kept, so a failing one (a singular denominator) raises at
-    every call."""
+def detuned_photon_stats(params, spec):
+    """Exact-sideband P1, P2 and g2 of ``params`` as a function
+    ``stats(delta_c) -> PhotonStats`` of the drive detuning.
+
+    They come from the long-time amplitudes c1, c2 of the cavity started
+    empty with the mechanics in its ground state, their resonance
+    denominators broadened by kappa/2 and kappa. delta_c enters only the
+    denominators, so the sideband overlaps are computed by the first call
+    that succeeds and kept. Raises ValueError without cavity decay, where
+    the amplitudes have no long-time limit.
+    """
     if params.kappa <= 0:
         raise ValueError("long-time amplitudes need kappa > 0")
     if abs(params.drive_amp) / params.kappa > 0.1:
         warnings.warn(
             "|drive_amp|/kappa > 0.1: the weak-driving expansion is unreliable",
-            stacklevel=3,
+            stacklevel=2,
         )
     overlaps = cache(partial(_sideband_overlaps, params, spec.n_mech))
     n = np.arange(spec.n_mech)
     om = params.drive_amp
 
-    def amplitudes(dc):
+    def stats(dc):
         w1, w2, d1, d2, fc10, fc21 = overlaps()
         den1 = dc + n * w1 - d1 - 0.5j * params.kappa
         c1 = -om * fc10 / den1
@@ -90,42 +87,18 @@ def _detuned_amplitudes(params, spec):
         _check_tail(np.abs(c1) ** 2, "one-photon amplitudes")
         _check_tail(np.abs(c2) ** 2, "two-photon amplitudes")
         _check_tail(np.abs(fc10 / den1) ** 2, "intermediate sideband sum")
-        return AmplitudeTable(c1=c1, c2=c2)
+        p1 = float(np.sum(np.abs(c1) ** 2))
+        if p1 == 0.0:
+            raise ZeroPhotonNumber("one-photon probability is 0; g2 undefined")
+        p2 = float(np.sum(np.abs(c2) ** 2))
+        return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=2.0 * p2 / p1**2)
 
-    return amplitudes
-
-
-def longtime_amplitudes(params, spec):
-    """Long-time perturbative amplitudes for the driven cavity, starting from
-    the empty cavity with the mechanics in its ground state.
-
-    Returns an AmplitudeTable with c1, c2 the one- and two-photon sideband
-    amplitudes, the resonance denominators broadened by kappa/2 and kappa;
-    the vacuum amplitude stays delta_{n,0} at this order. Raises ValueError
-    without cavity decay, where they have no long-time limit.
-    """
-    return _detuned_amplitudes(params, spec)(params.delta_c)
-
-
-def _photon_stats(amps):
-    p1 = float(np.sum(np.abs(amps.c1) ** 2))
-    if p1 == 0.0:
-        raise ZeroPhotonNumber("one-photon probability is 0; g2 undefined")
-    p2 = float(np.sum(np.abs(amps.c2) ** 2))
-    return PhotonStats(p0=1.0, p1=p1, p2=p2, g2=2.0 * p2 / p1**2)
+    return stats
 
 
 def photon_stats_exact(params, spec):
-    """Exact-sideband P1, P2 and g2 from the long-time amplitudes."""
-    return _photon_stats(longtime_amplitudes(params, spec))
-
-
-def detuned_photon_stats(params, spec):
-    """``photon_stats_exact`` of ``params`` at drive detuning delta_c, as a
-    function of delta_c. delta_c enters only the resonance denominators, so
-    a detuning sweep computes the sideband overlaps once."""
-    amplitudes = _detuned_amplitudes(params, spec)
-    return lambda delta_c: _photon_stats(amplitudes(delta_c))
+    """``detuned_photon_stats`` at the drive detuning of ``params``."""
+    return detuned_photon_stats(params, spec)(params.delta_c)
 
 
 def photon_stats_lamb_dicke(params):

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
@@ -161,9 +162,10 @@ def _axis(config, name, count):
 
 
 def _pool_map(worker, tasks, jobs):
-    """[worker(task) for task in tasks] on at most one process per task, up to
-    ``jobs`` of them; serially in this process where that is one or none."""
-    workers = min(jobs, len(tasks))
+    """[worker(task) for task in tasks] on at most one process per task and
+    per core, up to ``jobs`` of them; serially in this process where that is
+    one or none."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -205,13 +207,9 @@ def _map_task(task):
     set-up at delta_c = 0, of the ladder or of the sideband overlaps."""
     points, spec, numeric = task
     out = []
+    sweep = _g2_ladder_sweep if numeric else g2_analytic_sweep
     for base, run in itertools.groupby(points, lambda p: p.replace(delta_c=0.0)):
-        if numeric:
-            solve = detuned_steady_state(make_lindblad(base, spec))
-            out += [_attempt(lambda dc: observables(solve(dc))["g2"], p.delta_c) for p in run]
-        else:
-            stats = blockade.detuned_photon_stats(base, spec)
-            out += [_attempt(stats, p.delta_c, failed=None) for p in run]
+        out += sweep(base, spec, [p.delta_c for p in run])
     return out
 
 
@@ -222,6 +220,13 @@ def g2_grid(points, spec, numeric, jobs):
     chunks = np.array_split(np.arange(len(points)), 1 if jobs <= 1 else 8 * jobs)
     tasks = [([points[i] for i in chunk], spec, numeric) for chunk in chunks if chunk.size]
     return [point for chunk in _pool_map(_map_task, tasks, jobs) for point in chunk]
+
+
+def _g2_ladder_sweep(params, spec, detunings):
+    """Master-equation (g2, error) over a detuning grid, on one ladder set-up;
+    the set-up is freed on return, before the next run's is built."""
+    solve = detuned_steady_state(make_lindblad(params, spec))
+    return [_attempt(lambda dc: observables(solve(dc))["g2"], dc) for dc in detunings]
 
 
 def g2_analytic_sweep(params, spec, detunings):

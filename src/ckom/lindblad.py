@@ -15,7 +15,7 @@ Everything here runs on numpy: time evolution uses ``solve_ivp``, a port of
 scipy's RK45, and only the direct steady state imports ``scipy.sparse``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -89,8 +89,9 @@ class _BlockGenerator:
     gamma_up b b+)/2, H_m = ``sectors[m]``, and ``rest`` the drive couplings
     Omega sqrt(m+1), the photon feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1}
     and the mechanical jumps gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
-    The frame's omega_c a+a commutes with all else: ``apply`` leaves its rate
-    ``frame_rate`` out, and ``evolve`` applies its flow in closed form.
+    The frame's omega_c a+a commutes with all else only without drive:
+    ``apply`` leaves its rate ``frame_rate`` out, and ``evolve`` applies its
+    flow in closed form, so refuses a driven ``ls`` with omega_c != 0.
     ``apply`` evaluates these terms by diagonals (``_bands``), the ladder by blocks.
     """
 
@@ -321,12 +322,16 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     adaptive Dormand-Prince 5(4) pair of scipy's RK45.
 
     The integrator runs without the frame's omega_c a+a term, whose phase
-    each reported state gets back exactly. The raw integrator state is never
-    renormalized; the returned matrices are symmetrized and trace-normalized.
+    each reported state gets back exactly; that is exact only without drive,
+    so a driven ``ls`` with omega_c != 0 raises ValueError. The raw
+    integrator state is never renormalized; the returned matrices are
+    symmetrized and trace-normalized.
     A grid that does not advance (every time equal to t_grid[0]) returns the
     initial state at each time, without integrating. A failed integration,
     a NaN in the generator or in rho0 included, raises StepSizeUnderflow.
     """
+    if ls.drive != 0.0 and ls.omega_c != 0.0:
+        raise ValueError("a driven evolve needs omega_c = 0: the drive moves a+a")
     d = ls.spec.dim
     r0 = _as_matrix(rho0).astype(complex)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -457,20 +462,11 @@ def _ladder_obstacle(ls):
     return None
 
 
-def _ladder_setup(ls):
-    """The ladder's set-up on ``ls``: (lam, v, v^-1) of each sector drift
-    G_m = v diag(lam) v^-1, and the photon-vacuum solver."""
-    eig = []
-    for g in _BlockGenerator(ls).drift:
-        lam, v = np.linalg.eig(g)
-        eig.append((lam, v, np.linalg.inv(v)))
-    return eig, _vacuum_solver(np.diagonal(ls.sectors[0]), ls.gamma_down, ls.gamma_up)
-
-
 def _ladder_iterate(gen, eig, solve00, shift):
-    """Steady state of the generator ``gen`` solved block-by-block in the
-    photon indices, from the set-up (``eig``, ``solve00``) of ``_ladder_setup``
-    on the sectors of ``gen`` moved by -``shift`` m.
+    """Steady state of the generator ``gen`` with each sector H_m moved by
+    ``shift`` m, solved block-by-block in the photon indices, from the
+    eigensystems (lam, v, v^-1) ``eig`` of the sector drifts of ``gen`` and
+    its photon-vacuum solver ``solve00``.
 
     At weak drive the block magnitudes fall off as Omega^{m+m'}, so a global
     solve loses the tiny high-photon blocks to roundoff of the large ones.
@@ -532,9 +528,11 @@ def detuned_steady_state(ls):
 
     delta_c moves only the sectors m >= 1, which neither the dark-vacuum test
     nor the ladder's preconditions read, and keeps the sector eigenbases and
-    the vacuum solver: all are set up once, from ``ls``. Each point raises
-    its own NonConvergence: the ladder does not apply, its sweeps do not
-    settle, or its residual on the point's generator is not below 1e-9. It
+    the vacuum solver: all are set up once, from one ``_BlockGenerator`` of
+    ``ls``, whose drive, feed-down and jumps the ladder reads at every point.
+    Each point raises its own NonConvergence: the ladder does not apply, its
+    sweeps do not settle, or its residual on the point's generator (that of
+    ``ls`` plus -i delta_c (m - m') on block (m, m')) is not below 1e-9. It
     differs from a solve of ls' on its own only by roundoff (below 1e-12
     relative in g2).
     """
@@ -545,19 +543,20 @@ def detuned_steady_state(ls):
     dark = ls.drive == 0.0 and ls.gamma_up == 0.0 and not ls.sectors[0][0, 1:].any()
     obstacle = None if dark else _ladder_obstacle(ls)
     if not dark and obstacle is None:
-        eig, solve00 = _ladder_setup(ls)
-    m, q = np.arange(ls.spec.n_cav)[:, None], np.arange(ls.spec.n_mech)
+        gen = _BlockGenerator(ls)
+        eig = [(lam, v, np.linalg.inv(v)) for lam, v in map(np.linalg.eig, gen.drift)]
+        solve00 = _vacuum_solver(np.diagonal(ls.sectors[0]), ls.gamma_down, ls.gamma_up)
+    m = np.arange(ls.spec.n_cav)
+    m_diff = m[:, None, None, None] - m[None, None, :, None]
 
     def solve(delta_c):
         if dark:
             return vacuum_density(ls.spec)
         if obstacle is not None:
             raise NonConvergence(f"ladder: {obstacle}")
-        sectors = ls.sectors.copy()
-        sectors[:, q, q] += delta_c * m
-        gen = _BlockGenerator(replace(ls, sectors=sectors))
         rho = _ladder_iterate(gen, eig, solve00, delta_c)
-        resid = np.abs(gen.liouvillian(rho)).max()
+        detuning = (-1j * delta_c * m_diff * ls.spec.blocks(rho)).reshape(rho.shape)
+        resid = np.abs(gen.liouvillian(rho) + detuning).max()
         if not resid < 1e-9:
             raise NonConvergence(f"ladder: residual {resid:.2e} above 1e-9")
         return DensityMatrix(ls.spec, rho)

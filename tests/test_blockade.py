@@ -32,17 +32,20 @@ def g2_resonance_closed_forms(p):
 
 class TestAmplitudes:
     def test_empty_cavity_lorentzian(self):
+        # at g0 = 0 only the zeroth sideband carries weight: P1 is the bare
+        # cavity Lorentzian Omega^2 / (delta_c^2 + kappa^2/4)
         p = SystemParams(g0=0.0, g_ck=0.0, kappa=0.1, drive_amp=0.001, delta_c=0.23)
-        amps = blockade.longtime_amplitudes(p, SPEC)
-        expected = -0.001 / (0.23 - 0.05j)
-        assert np.isclose(amps.c1[0], expected, rtol=1e-12)
-        assert np.abs(amps.c1[1:]).max() < 1e-15
+        stats = blockade.detuned_photon_stats(p, SPEC)
+        for dc in (0.23, -0.4, 0.0):
+            expected = 0.001**2 / (dc**2 + 0.05**2)
+            assert np.isclose(stats(dc).p1, expected, rtol=1e-12, atol=0.0)
+        assert blockade.photon_stats_exact(p, SPEC) == stats(0.23)
 
     def test_normalization_near_unity(self):
         p = FIG2.replace(delta_c=0.594)
-        amps = blockade.longtime_amplitudes(p, SPEC)
+        stats = blockade.photon_stats_exact(p, SPEC)
         # the vacuum amplitude is delta_{n,0}
-        norm = 1.0 + np.sum(np.abs(amps.c1) ** 2) + np.sum(np.abs(amps.c2) ** 2)
+        norm = 1.0 + stats.p1 + stats.p2
         assert abs(norm - 1.0) < 1e-3   # O((drive/kappa)^2)
 
     def test_tail_convergence_guard(self):
@@ -50,11 +53,18 @@ class TestAmplitudes:
         tight = HilbertSpec(4, 4)
         strong = SystemParams(g0=2.0, g_ck=0.2, kappa=0.1, drive_amp=0.001, delta_c=0.0)
         with pytest.raises(NonConvergedSum):
-            blockade.longtime_amplitudes(strong, tight)
+            blockade.photon_stats_exact(strong, tight)
+        stats = blockade.detuned_photon_stats(strong, tight)
+        for dc in (0.0, 0.3):
+            with pytest.raises(NonConvergedSum):
+                stats(dc)
 
     def test_needs_cavity_decay(self):
+        # raised on set-up, before any detuning is asked for
         with pytest.raises(ValueError, match="kappa > 0"):
-            blockade.longtime_amplitudes(FIG2.replace(kappa=0.0, delta_c=0.49), SPEC)
+            blockade.detuned_photon_stats(FIG2.replace(kappa=0.0), SPEC)
+        with pytest.raises(ValueError, match="kappa > 0"):
+            blockade.photon_stats_exact(FIG2.replace(kappa=0.0, delta_c=0.49), SPEC)
 
     def test_undriven_g2_is_named_error(self):
         with pytest.raises(ZeroPhotonNumber):
@@ -63,7 +73,9 @@ class TestAmplitudes:
     def test_weak_driving_warning(self):
         for drive_amp in (0.05, -0.05):
             with pytest.warns(UserWarning, match="weak-driving expansion"):
-                blockade.longtime_amplitudes(FIG2.replace(drive_amp=drive_amp), SPEC)
+                blockade.detuned_photon_stats(FIG2.replace(drive_amp=drive_amp), SPEC)
+            with pytest.warns(UserWarning, match="weak-driving expansion"):
+                blockade.photon_stats_exact(FIG2.replace(drive_amp=drive_amp), SPEC)
 
     def test_p1_peaks_at_single_photon_resonances(self):
         detunings = np.arange(-4.0, 1.5, 0.005)

@@ -338,6 +338,28 @@ class TestBlockadeMap:
             assert err.startswith("NonConvergence:") and "no mechanical damping" in err
 
 
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that starts no process and runs each
+    task here; returns the list of max_workers it was asked for."""
+    pools = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    return pools
+
+
 class TestJobs:
     @pytest.mark.parametrize("command", ["table1", "blockade-sweep", "blockade-map"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -353,22 +375,8 @@ class TestJobs:
     def test_at_most_one_worker_per_task(self, monkeypatch):
         # the pool starts all max_workers processes at once, so the count
         # must not exceed the tasks; this fake pool starts none
-        pools = []
-
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, tasks, chunksize=1):
-                return map(func, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        pools = fake_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
         assert cli._pool_map(abs, [-1, -2, -3], 8) == [1, 2, 3]
         assert cli._pool_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert pools == [3, 2]
@@ -376,6 +384,23 @@ class TestJobs:
         assert cli._pool_map(abs, [-4], 8) == [4]
         assert cli._pool_map(abs, [], 8) == []
         assert pools == [3, 2]
+
+    def test_at_most_one_worker_per_core(self, monkeypatch, tmp_path):
+        # --jobs 5000 on the default map (10206 points) must not fork 5000
+        # workers; an unknown core count counts as one core
+        pools = fake_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert cli._pool_map(abs, list(range(-10, 0)), 5000) == list(range(10, 0, -1))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._pool_map(abs, [-1, -2], 5000) == [1, 2]
+        assert pools == [4]
+        # through a command, with the same rows as a serial run
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        grid = ["blockade-map", "--g0-steps", "3", "--gck-steps", "2", "--locus-n-max", "1"]
+        for jobs in ("5000", "1"):
+            assert main([*grid, "--jobs", jobs, "--out", str(tmp_path / f"{jobs}.csv")]) == 0
+        assert pools == [4, 2]
+        assert (tmp_path / "5000.csv").read_text() == (tmp_path / "1.csv").read_text()
 
 
 class TestCat:

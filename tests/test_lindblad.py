@@ -280,6 +280,22 @@ class TestEvolve:
             u = propagator_factored(t, p, spec)
             assert np.abs(dm.rho - u @ rho0 @ u.conj().T).max() < 1e-7
 
+    def test_driven_frame_is_refused(self):
+        # the drive does not commute with omega_c a+a, so its flow cannot be
+        # put back in closed form (it would leave this state 0.096 max-abs
+        # off expm(L t)); the same physics with omega_c held in the sectors
+        # (delta_c = 3 in the rotating frame) integrates to the reference
+        spec = HilbertSpec(3, 6)
+        p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=0.05)
+        framed = dataclasses.replace(make_lindblad(p, spec, frame="rotating"), omega_c=3.0)
+        t_grid = np.array([0.0, 2.0])
+        with pytest.raises(ValueError, match="omega_c"):
+            evolve(framed, vacuum_density(spec), t_grid)
+        held = make_lindblad(p.replace(delta_c=3.0), spec, frame="rotating")
+        got = evolve(held, vacuum_density(spec), t_grid)[-1].rho
+        want = sla.expm(full_space_liouvillian(framed) * 2.0) @ vacuum_density(spec).rho.ravel()
+        assert np.abs(got.ravel() - want).max() < 1e-7
+
     @pytest.mark.parametrize("where", ["hamiltonian", "rho0"])
     def test_nan_ends_in_step_size_underflow(self, where):
         # a NaN error norm defeats the step-size controller: scipy's RK45
@@ -562,6 +578,24 @@ class TestDetunedSteadyState:
         for dc in (-1.3, 0.0, 0.7):
             ls = make_lindblad(p.replace(delta_c=dc), spec)
             assert np.abs(apply_liouvillian(ls, solve(dc))).max() < 1e-9
+
+    def test_one_generator_per_sweep(self, monkeypatch):
+        # the set-up, every point's iteration and every residual gate share
+        # one block generator of ls; no point copies the sectors into its own
+        built = []
+
+        class Counted(lindblad._BlockGenerator):
+            def __init__(self, ls):
+                built.append(ls)
+                super().__init__(ls)
+
+        monkeypatch.setattr(lindblad, "_BlockGenerator", Counted)
+        p = SystemParams(g0=0.3, g_ck=0.05, kappa=0.1, gamma_m=0.05, drive_amp=0.01)
+        ls = make_lindblad(p, HilbertSpec(3, 6))
+        solve = lindblad.detuned_steady_state(ls)
+        for dc in (-1.3, 0.0, 0.7):
+            solve(dc)
+        assert len(built) == 1 and built[0] is ls
 
     def test_every_unsettled_point_raises(self):
         # the unsettled case of TestSteadyState, at its detuning and another:
