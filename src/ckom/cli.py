@@ -43,7 +43,7 @@ _BLOCKADE_PHYSICS = {
     "n_mech": 30,
 }
 
-# every detuning point sets delta_c; the rotating frame never reads omega_c
+# every detuning point sets delta_c; the rotating frame never reads params.omega_c
 SWEEP_DEFAULTS = {
     "g0": 0.7,
     "g_ck": 0.175,
@@ -185,10 +185,13 @@ def _attempt(func, *args, failed=np.nan):
         return failed, _failure(exc)
 
 
-def _require_decay(params):
-    """Every blockade result is a driven steady state, so needs kappa > 0."""
+def _require_decay(params, spec, numeric):
+    """Every blockade result is a driven steady state, so needs kappa > 0;
+    the master-equation g2 also needs the two-photon sector."""
     if params.kappa <= 0:
         _usage_error(f"kappa = {params.kappa:g}: the driven steady state needs kappa > 0")
+    if numeric and spec.n_cav < 3:
+        _usage_error(f"n_cav = {spec.n_cav}: the master-equation g2 needs n_cav >= 3")
 
 
 def _g2_numeric_task(task):
@@ -269,7 +272,7 @@ def _detuning_sweep(args, config, params, spec, numeric):
         _usage_error(f"detuning_step = {step:g} does not divide "
                      f"detuning_max - detuning_min = {hi:g} - {lo:g}")
     detunings = np.linspace(lo, hi, int(round(steps)) + 1)
-    _require_decay(params)
+    _require_decay(params, spec, numeric)
     config["numeric"] = numeric
     analytic = g2_analytic_sweep(params, spec, detunings)
     if not numeric:
@@ -328,8 +331,8 @@ def cmd_blockade_sweep(args, config, params, spec):
 
 
 def cmd_blockade_map(args, config, params, spec):
-    _require_decay(params)
     numeric = config["numeric"] = bool(args.numeric)
+    _require_decay(params, spec, numeric)
     gck_axis = _axis(config, "gck", "gck_steps")
     grid = [params.replace(g0=float(g0), g_ck=float(gck))
             for g0 in _axis(config, "g0", "g0_steps") for gck in gck_axis]

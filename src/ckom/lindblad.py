@@ -15,7 +15,7 @@ Everything here runs on numpy: time evolution uses ``solve_ivp``, a port of
 scipy's RK45, and only the direct steady state imports ``scipy.sparse``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -36,10 +36,11 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class LindbladSpec:
     """Hamiltonian omega_c a+a + sum_m H_m + ``drive`` (a+ + a) on ``spec``, with
-    H_m = ``sectors[m]`` the m-photon sector of its a+a-conserving part and
-    ``omega_c`` the frame's a+a frequency (0 in the rotating frame, whose drive
-    does not commute with a+a), and the rates of the decay channels: ``kappa``
-    on a, ``gamma_down`` = gamma_m (nbar+1) on b and ``gamma_up`` = gamma_m nbar on b+."""
+    H_m = ``sectors[m]`` the m-photon sector of its a+a-conserving part without
+    the frame's a+a term and ``omega_c`` that term's frequency (delta_c in the
+    rotating frame, the cavity's omega_c in the lab frame), and the rates of the
+    decay channels: ``kappa`` on a, ``gamma_down`` = gamma_m (nbar+1) on b and
+    ``gamma_up`` = gamma_m nbar on b+."""
 
     spec: HilbertSpec
     sectors: np.ndarray
@@ -55,12 +56,12 @@ def make_lindblad(params, spec, frame="rotating"):
     detuned by delta_c and driven by drive_amp (``frame="rotating"``), or the
     undriven lab-frame one (``frame="lab"``, used for the cat-state runs)."""
     if frame == "rotating":
-        detuning, drive, omega_c = params.delta_c, params.drive_amp, 0.0
+        drive, omega_c = params.drive_amp, params.delta_c
     elif frame == "lab":
-        detuning, drive, omega_c = 0.0, 0.0, params.omega_c
+        drive, omega_c = 0.0, params.omega_c
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    sectors = build_h_sectors(spec, params.replace(omega_c=detuning))
+    sectors = build_h_sectors(spec, params.replace(omega_c=0.0))
     return LindbladSpec(spec=spec, sectors=sectors, drive=drive, kappa=params.kappa,
                         gamma_down=params.gamma_m * (params.nbar_m + 1.0),
                         gamma_up=params.gamma_m * params.nbar_m, omega_c=omega_c)
@@ -83,16 +84,14 @@ class _BlockGenerator:
     a block only onto its neighbours, so
 
         d rho^{m mp}/dt = G_m rho^{m mp} + rho^{m mp} G_mp^+ + rest(m, mp)
-                          - i omega_c (m - mp) rho^{m mp}
 
-    with the sector drifts G_m = -i H_m - kappa m/2 - (gamma_down b+b +
-    gamma_up b b+)/2, H_m = ``sectors[m]``, and ``rest`` the drive couplings
-    Omega sqrt(m+1), the photon feed-down kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1}
-    and the mechanical jumps gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b.
-    The frame's omega_c a+a commutes with all else only without drive:
-    ``apply`` leaves its rate ``frame_rate`` out, and ``evolve`` applies its
-    flow in closed form, so refuses a driven ``ls`` with omega_c != 0.
-    ``apply`` evaluates these terms by diagonals (``_bands``), the ladder by blocks.
+    with the sector drifts G_m = -i (H_m + omega_c m) - kappa m/2 -
+    (gamma_down b+b + gamma_up b b+)/2, H_m = ``sectors[m]``, and ``rest`` the
+    drive couplings Omega sqrt(m+1), the photon feed-down
+    kappa sqrt((m+1)(mp+1)) rho^{m+1,mp+1} and the mechanical jumps
+    gamma_down b rho^{m mp} b+ + gamma_up b+ rho^{m mp} b. ``apply`` evaluates
+    these terms by diagonals (``_bands``), the ladder by blocks; ``m_diff``
+    holds m - mp per block, the factor of a change of omega_c.
     """
 
     def __init__(self, ls):
@@ -101,10 +100,9 @@ class _BlockGenerator:
         b = destroy(spec.n_mech)
         damp = 0.5 * (ls.gamma_down * (b.conj().T @ b) + ls.gamma_up * (b @ b.conj().T))
         m = np.arange(spec.n_cav)
-        w = ls.omega_c * m
-        self.frame_rate = -1j * (w[:, None, None, None] - w[None, None, :, None])
-        self.drift = (-1j * ls.sectors - 0.5 * ls.kappa * m[:, None, None] * np.eye(spec.n_mech)
-                      - damp)
+        self.m_diff = m[:, None, None, None] - m[None, None, :, None]
+        m_eye = m[:, None, None] * np.eye(spec.n_mech)
+        self.drift = -1j * (ls.sectors + ls.omega_c * m_eye) - 0.5 * ls.kappa * m_eye - damp
         self.drive = ls.drive * np.sqrt(np.arange(1.0, spec.n_cav))  # <m+1|H|m>
         self.mech_root = np.sqrt(np.arange(1.0, spec.n_mech))  # <q|b|q+1>
         self.jump_weight = np.outer(self.mech_root, self.mech_root)
@@ -155,7 +153,7 @@ class _BlockGenerator:
         return np.add.outer(k0, k0.conj()).ravel(), list(diags.items()), jumps
 
     def apply(self, rho):
-        """d rho/dt of a full matrix without the frame rate, by diagonals."""
+        """d rho/dt of a full matrix, by diagonals."""
         diag0, diags, jumps = self._bands
         dim = rho.shape[0]
         r = rho.ravel()
@@ -173,10 +171,6 @@ class _BlockGenerator:
             lo, hi = max(0, -s), r.size - max(0, s)
             flat[lo:hi] += w[lo:hi] * r[lo + s:hi + s]
         return out
-
-    def liouvillian(self, rho):
-        """d rho/dt of a full matrix, frame rate included."""
-        return self.apply(rho) + (self.frame_rate * self.spec.blocks(rho)).reshape(rho.shape)
 
 
 def _constrained_liouvillian(h, jumps):
@@ -209,7 +203,7 @@ def apply_liouvillian(ls, rho):
     r = _as_matrix(rho)
     if r.shape != (ls.spec.dim,) * 2:
         raise ValueError(f"density matrix shape {r.shape} does not fit dim {ls.spec.dim}")
-    return _BlockGenerator(ls).liouvillian(r)
+    return _BlockGenerator(ls).apply(r)
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980) with Shampine's 4th-order dense
@@ -235,10 +229,8 @@ _DP_P = np.array([
 
 
 class IvpResult(NamedTuple):
-    y: np.ndarray  # (len(y0), len(t_eval)); None when the integration failed
+    y: np.ndarray  # (len(y0), len(t_eval))
     nfev: int
-    success: bool
-    message: str
 
 
 def _rms(x):
@@ -251,7 +243,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
 
     It takes the steps of ``scipy.integrate.solve_ivp(method="RK45")``: the
     same initial step (Hairer, Norsett & Wanner, Sec. II.4), RMS error norm,
-    controller and dense output. It fails (``success`` False) when y0 or its
+    controller and dense output. It raises StepSizeUnderflow when y0 or its
     derivative, the error norm or the step is not finite (scipy's controller
     would retry a NaN step forever) or the step falls below ten spacings of t.
     """
@@ -269,7 +261,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
 
     f = rhs(t, y)
     if not (np.isfinite(y).all() and np.isfinite(f).all()):
-        return IvpResult(None, nfev, False, "initial state or its derivative is not finite")
+        raise StepSizeUnderflow("initial state or its derivative is not finite")
     abs_y = np.abs(y)
     scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
@@ -285,8 +277,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if not min_step <= h_abs < np.inf:  # NaN fails here too
-                return IvpResult(None, nfev, False, f"step size {h_abs:.3g} is below "
-                                 f"{min_step:.3g} or not finite")
+                raise StepSizeUnderflow(f"step size {h_abs:.3g} is below {min_step:.3g} "
+                                        "or not finite")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
@@ -299,7 +291,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
             scale = atol + np.maximum(abs_y, abs_new) * rtol
             error_norm = _rms((_DP_E @ k) * h / scale)
             if not np.isfinite(error_norm):
-                return IvpResult(None, nfev, False, f"error norm {error_norm} is not finite")
+                raise StepSizeUnderflow(f"error norm {error_norm} is not finite")
             if error_norm < 1:
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
@@ -314,42 +306,39 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
             p = np.cumprod(np.tile(x, (4, 1)), axis=0)
             ys.append((t - t_old) * ((_DP_P.T @ k).T @ p) + y_old[:, None])
             i_eval = i_new
-    return IvpResult(np.hstack(ys), nfev, True, "reached the end of the interval")
+    return IvpResult(np.hstack(ys), nfev)
 
 
 def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
     """Integrate the master equation over t_grid with ``solve_ivp``, the
     adaptive Dormand-Prince 5(4) pair of scipy's RK45.
 
-    The integrator runs without the frame's omega_c a+a term, whose phase
-    each reported state gets back exactly; that is exact only without drive,
-    so a driven ``ls`` with omega_c != 0 raises ValueError. The raw
-    integrator state is never renormalized; the returned matrices are
-    symmetrized and trace-normalized.
+    Without drive, the frame's omega_c a+a commutes with the rest of the
+    generator: the integrator runs without it, and each reported state gets
+    its phase exp(-i omega_c t (m - m')) back exactly. A driven ``ls`` is
+    integrated as given. The raw integrator state is never renormalized; the
+    returned matrices are symmetrized and trace-normalized.
     A grid that does not advance (every time equal to t_grid[0]) returns the
     initial state at each time, without integrating. A failed integration,
     a NaN in the generator or in rho0 included, raises StepSizeUnderflow.
     """
-    if ls.drive != 0.0 and ls.omega_c != 0.0:
-        raise ValueError("a driven evolve needs omega_c = 0: the drive moves a+a")
     d = ls.spec.dim
     r0 = _as_matrix(rho0).astype(complex)
     t_grid = np.asarray(t_grid, dtype=float)
-    gen = _BlockGenerator(ls)
+    # undriven, omega_c a+a commutes with the rest: its flow is put back exactly
+    frame = ls.omega_c if ls.drive == 0.0 else 0.0
+    gen = _BlockGenerator(replace(ls, omega_c=ls.omega_c - frame))
     if t_grid[-1] == t_grid[0]:
         y = np.repeat(r0.reshape(-1, 1), t_grid.size, axis=1)
     else:
-        sol = solve_ivp(
+        y = solve_ivp(
             lambda _t, y: gen.apply(y.reshape(d, d)).ravel(),
             (t_grid[0], t_grid[-1]),
             r0.ravel(),
             t_eval=t_grid,
             rtol=rtol,
             atol=atol,
-        )
-        if not sol.success:
-            raise StepSizeUnderflow(f"master-equation integration failed: {sol.message}")
-        y = sol.y
+        ).y
 
     states = []
     for k in range(t_grid.size):
@@ -359,7 +348,7 @@ def evolve(ls, rho0, t_grid, rtol=1e-8, atol=1e-10):
             raise StepSizeUnderflow(
                 f"hermiticity drift {drift:.2e} at t={t_grid[k]}; tolerances too loose"
             )
-        phase = np.exp(gen.frame_rate * (t_grid[k] - t_grid[0]))
+        phase = np.exp(-1j * frame * gen.m_diff * (t_grid[k] - t_grid[0]))
         r = (ls.spec.blocks(r) * phase).reshape(d, d)
         r = 0.5 * (r + r.conj().T)
         states.append(DensityMatrix(ls.spec, r / np.trace(r).real))
@@ -463,8 +452,8 @@ def _ladder_obstacle(ls):
 
 
 def _ladder_iterate(gen, eig, solve00, shift):
-    """Steady state of the generator ``gen`` with each sector H_m moved by
-    ``shift`` m, solved block-by-block in the photon indices, from the
+    """Steady state of the generator ``gen`` with its omega_c moved by
+    ``shift``, solved block-by-block in the photon indices, from the
     eigensystems (lam, v, v^-1) ``eig`` of the sector drifts of ``gen`` and
     its photon-vacuum solver ``solve00``.
 
@@ -473,12 +462,12 @@ def _ladder_iterate(gen, eig, solve00, shift):
     Here each block of the block form is solved at its own scale: its drift
     is inverted as a Sylvester equation in the eigenbases of the sector
     drifts, while the rest (drive couplings, photon feed-down, mechanical
-    jumps) is iterated Gauss-Seidel style to convergence. A detuning moves
-    sector m by m shift times the identity, so it keeps the eigenvectors and
+    jumps) is iterated Gauss-Seidel style to convergence. The shift moves
+    drift m by -i m shift times the identity, so it keeps the eigenvectors and
     moves the eigenvalues by -i m shift. The photon-vacuum block, whose
     drift alone is singular, is solved with its mechanical jumps and a trace
-    constraint, one diagonal offset at a time (``_vacuum_solver``); H_00
-    holds no detuning. Raises NonConvergence when the sweeps have not settled
+    constraint, one diagonal offset at a time (``_vacuum_solver``); omega_c
+    does not reach it. Raises NonConvergence when the sweeps have not settled
     within ``_MAX_SWEEPS``.
     """
     spec = gen.spec
@@ -523,10 +512,10 @@ def _ladder_iterate(gen, eig, solve00, shift):
 
 def detuned_steady_state(ls):
     """``steady_state(ls', "ladder")`` as a function of delta_c, where ls' is
-    ``ls`` with each sector H_m moved by m delta_c: the rotating-frame
+    ``ls`` with its omega_c moved by delta_c: the rotating-frame
     ``make_lindblad`` at that delta_c, for ``ls`` at delta_c = 0.
 
-    delta_c moves only the sectors m >= 1, which neither the dark-vacuum test
+    omega_c moves only the drifts m >= 1, which neither the dark-vacuum test
     nor the ladder's preconditions read, and keeps the sector eigenbases and
     the vacuum solver: all are set up once, from one ``_BlockGenerator`` of
     ``ls``, whose drive, feed-down and jumps the ladder reads at every point.
@@ -546,8 +535,6 @@ def detuned_steady_state(ls):
         gen = _BlockGenerator(ls)
         eig = [(lam, v, np.linalg.inv(v)) for lam, v in map(np.linalg.eig, gen.drift)]
         solve00 = _vacuum_solver(np.diagonal(ls.sectors[0]), ls.gamma_down, ls.gamma_up)
-    m = np.arange(ls.spec.n_cav)
-    m_diff = m[:, None, None, None] - m[None, None, :, None]
 
     def solve(delta_c):
         if dark:
@@ -555,8 +542,8 @@ def detuned_steady_state(ls):
         if obstacle is not None:
             raise NonConvergence(f"ladder: {obstacle}")
         rho = _ladder_iterate(gen, eig, solve00, delta_c)
-        detuning = (-1j * delta_c * m_diff * ls.spec.blocks(rho)).reshape(rho.shape)
-        resid = np.abs(gen.liouvillian(rho) + detuning).max()
+        detuning = (-1j * delta_c * gen.m_diff * ls.spec.blocks(rho)).reshape(rho.shape)
+        resid = np.abs(gen.apply(rho) + detuning).max()
         if not resid < 1e-9:
             raise NonConvergence(f"ladder: residual {resid:.2e} above 1e-9")
         return DensityMatrix(ls.spec, rho)

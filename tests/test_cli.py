@@ -162,6 +162,22 @@ class TestBlockadeSweep:
         assert "ckom: error: kappa = 0" in capsys.readouterr().err
         assert not out.exists()
 
+    _SHORT_DETUNINGS = ["--detuning-min", "-1.1", "--detuning-max", "-1.0",
+                        "--detuning-step", "0.05"]
+
+    @pytest.mark.parametrize("argv", [
+        ["blockade-sweep", "--numeric", *_SHORT_DETUNINGS], ["table1", *_SHORT_DETUNINGS],
+        ["blockade-map", "--numeric", "--g0-steps", "2", "--gck-steps", "2"]])
+    def test_master_equation_routes_need_two_photons(self, argv, tmp_path, capsys):
+        # g2 reads the two-photon sector, which n_cav = 2 leaves out: refused
+        # before any point instead of a column of g2 = 0
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--n-cav", "2", "--out", str(out)])
+        assert err.value.code == 1
+        assert "ckom: error: n_cav = 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["blockade-sweep", "--detuning-min", "0.5", "--detuning-max", "0.6"],
         ["blockade-map", "--g0-steps", "2", "--gck-steps", "2", "--n-mech", "20"]])
